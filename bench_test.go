@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -634,4 +635,52 @@ func BenchmarkServeWhatIf(b *testing.B) {
 			resp.Body.Close()
 		}
 	})
+}
+
+// BenchmarkTenantColdLoad measures one tenant's disk-snapshot cold load
+// through the serving layer's public API, the environment loader
+// included: two tenants share a residency cap of one, so every request
+// evicts the other tenant and cold-loads its own set from its snapshot
+// file. The per-request /whatif on the empty configuration is noise next
+// to the load.
+func BenchmarkTenantColdLoad(b *testing.B) {
+	dir := b.TempDir()
+	loader := func() (*serve.Environment, error) {
+		e, err := experiments.NewEnv(42)
+		if err != nil {
+			return nil, err
+		}
+		analyses := make([]*optimizer.Analysis, len(e.Queries))
+		for i, q := range e.Queries {
+			if analyses[i], err = optimizer.NewAnalysis(q, e.Star.Stats, optimizer.DefaultCostParams()); err != nil {
+				return nil, err
+			}
+		}
+		return &serve.Environment{Catalog: e.Star.Catalog, Stats: e.Star.Stats, Queries: e.Queries, Analyses: analyses}, nil
+	}
+	names := []string{"a", "b"}
+	cfg := serve.Config{MaxResident: 1}
+	for _, name := range names {
+		cfg.Tenants = append(cfg.Tenants, serve.TenantConfig{
+			Name: name, Loader: loader, SnapshotPath: filepath.Join(dir, name+".pcache"),
+		})
+	}
+	srv, err := serve.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	// The first load of each tenant rebuilds and writes its snapshot.
+	for _, name := range names {
+		if _, err := srv.WhatIf(&serve.WhatIfRequest{Tenant: name}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.WhatIf(&serve.WhatIfRequest{Tenant: names[i%2]}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

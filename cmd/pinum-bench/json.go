@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -327,6 +328,52 @@ func runJSONBench(label string, seed int64) (string, error) {
 				resp.Body.Close()
 			}
 		})
+	})
+
+	// A disk-snapshot cold load of one tenant through serve's public API,
+	// the environment loader included: two tenants behind a residency cap
+	// of one, so each request evicts the other and loads from its file.
+	snapDir, err := os.MkdirTemp("", "pinum-bench-tenants")
+	if err != nil {
+		return "", err
+	}
+	defer os.RemoveAll(snapDir)
+	tenantLoader := func() (*serve.Environment, error) {
+		e, err := experiments.NewEnv(seed)
+		if err != nil {
+			return nil, err
+		}
+		as := make([]*optimizer.Analysis, len(e.Queries))
+		for i, q := range e.Queries {
+			if as[i], err = optimizer.NewAnalysis(q, e.Star.Stats, optimizer.DefaultCostParams()); err != nil {
+				return nil, err
+			}
+		}
+		return &serve.Environment{Catalog: e.Star.Catalog, Stats: e.Star.Stats, Queries: e.Queries, Analyses: as}, nil
+	}
+	tenants := []string{"a", "b"}
+	mtCfg := serve.Config{MaxResident: 1}
+	for _, name := range tenants {
+		mtCfg.Tenants = append(mtCfg.Tenants, serve.TenantConfig{
+			Name: name, Loader: tenantLoader, SnapshotPath: filepath.Join(snapDir, name+".pcache"),
+		})
+	}
+	mtSrv, err := serve.New(mtCfg)
+	if err != nil {
+		return "", err
+	}
+	defer mtSrv.Close()
+	for _, name := range tenants { // first loads rebuild and write the snapshots
+		if _, err := mtSrv.WhatIf(&serve.WhatIfRequest{Tenant: name}); err != nil {
+			return "", err
+		}
+	}
+	measure(fmt.Sprintf("TenantColdLoad/queries=%d", len(env.Queries)), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := mtSrv.WhatIf(&serve.WhatIfRequest{Tenant: tenants[i%2]}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 
 	if len(failed) > 0 {

@@ -2,7 +2,9 @@
 // hooks compiled into error-handling paths (snapshot decode, crash-safe
 // save, background rebuild, tenant cold-load and eviction) so tests and
 // operational drills can prove the degradation behavior around them
-// instead of trusting it.
+// instead of trusting it. A few points sit on paths with no error to
+// inject (fingerprint walks, candidate generation); their callers ignore
+// Hit's result, and tests count their hits or slow them with a delay.
 //
 // A point is a dormant call site — faultpoint.Hit("plancache.decode") —
 // that returns nil until a fault is armed for its name. Faults are armed

@@ -180,6 +180,13 @@ func TestExpositionGolden(t *testing.T) {
 	h.Observe(0.00025) // 0.0004 bucket
 	h.Observe(0.5)     // 0.8192 bucket
 	h.Observe(10)      // +Inf overflow
+	// Two-label histogram family, as the serving layer's per-tenant load
+	// durations register it: series sorted by their rendered label sets.
+	const loadHelp = "Seconds from the start of a cold load or completed reload to its set going live, by the set's source."
+	r.Histogram("pinum_tenant_load_duration_seconds", loadHelp,
+		L("tenant", "acme"), L("source", "rebuilt")).Observe(0.25)
+	r.Histogram("pinum_tenant_load_duration_seconds", loadHelp,
+		L("tenant", "acme"), L("source", "disk-snapshot")).Observe(0.003)
 	scrapes := 0
 	r.OnScrape(func() { scrapes++ })
 

@@ -31,8 +31,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -141,56 +139,74 @@ func ToCache(a *optimizer.Analysis, qp QueryPlans) (*inum.Cache, error) {
 	return c, nil
 }
 
-// fpHasher streams fingerprint fields into an FNV-1a hash with a reused
-// length buffer, so Fingerprint and TableFingerprints hash the exact same
-// field sequence per table.
-type fpHasher struct {
-	h   hash.Hash64
-	buf []byte
+// Stream tags: the first field of the environment stream and of every
+// per-table stream. Changing either invalidates every snapshot on disk.
+const (
+	envFPTag   = "pinum-plancache-fp-v1"
+	tableFPTag = "pinum-plancache-tablefp-v1"
+)
+
+// fpWalk runs two FNV-1a states over one fingerprint field stream: env
+// accumulates every table in catalog order, tbl is reset to the per-table
+// prefix at each table. Fields are little-endian u64s and length-prefixed
+// strings, hashed inline byte by byte. Byte-serial FNV-1a is latency
+// bound, so the two independent multiply chains interleave and the
+// per-table hashes cost little on top of the environment hash.
+type fpWalk struct{ env, tbl uint64 }
+
+func (w *fpWalk) u64(v uint64) {
+	e, t := w.env, w.tbl
+	for shift := 0; shift < 64; shift += 8 {
+		b := v >> shift & 0xff
+		e = (e ^ b) * fnvPrime
+		t = (t ^ b) * fnvPrime
+	}
+	w.env, w.tbl = e, t
+}
+func (w *fpWalk) i64(v int64)   { w.u64(uint64(v)) }
+func (w *fpWalk) f64(v float64) { w.u64(math.Float64bits(v)) }
+func (w *fpWalk) str(s string) {
+	w.u64(uint64(len(s)))
+	e, t := w.env, w.tbl
+	for i := 0; i < len(s); i++ {
+		b := uint64(s[i])
+		e = (e ^ b) * fnvPrime
+		t = (t ^ b) * fnvPrime
+	}
+	w.env, w.tbl = e, t
 }
 
-func newFPHasher() *fpHasher {
-	return &fpHasher{h: fnv.New64a(), buf: make([]byte, 8)}
-}
-
-func (f *fpHasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(f.buf, v)
-	f.h.Write(f.buf)
-}
-func (f *fpHasher) i64(v int64)   { f.u64(uint64(v)) }
-func (f *fpHasher) f64(v float64) { f.u64(math.Float64bits(v)) }
-func (f *fpHasher) str(s string) {
-	f.u64(uint64(len(s)))
-	io.WriteString(f.h, s)
-}
-
-// params hashes the cost-model parameters every stored cost depends on.
-func (f *fpHasher) params(params optimizer.CostParams) {
-	f.f64(params.SeqPageCost)
-	f.f64(params.RandomPageCost)
-	f.f64(params.CPUTupleCost)
-	f.f64(params.CPUIndexTupleCost)
-	f.f64(params.CPUOperatorCost)
+// prefix hashes a stream's header: its tag, then the cost-model
+// parameters every stored cost depends on.
+func prefix(tag string, params optimizer.CostParams) uint64 {
+	w := fpWalk{env: fnvOffset}
+	w.str(tag)
+	w.f64(params.SeqPageCost)
+	w.f64(params.RandomPageCost)
+	w.f64(params.CPUTupleCost)
+	w.f64(params.CPUIndexTupleCost)
+	w.f64(params.CPUOperatorCost)
+	return w.env
 }
 
 // table hashes one catalog table: row counts, pages, columns with
 // widths/NDVs/domains, the statistics attached to each column, and the
 // foreign keys.
-func (f *fpHasher) table(t *catalog.Table, st *stats.Store) {
-	f.str(t.Name)
-	f.i64(t.RowCount)
-	f.i64(t.Pages)
+func (w *fpWalk) table(t *catalog.Table, st *stats.Store) {
+	w.str(t.Name)
+	w.i64(t.RowCount)
+	w.i64(t.Pages)
 	for _, col := range t.Columns {
-		f.str(col.Name)
-		f.i64(int64(col.Type))
-		f.i64(int64(col.AvgWidth))
-		f.i64(col.NDV)
-		f.i64(col.Min)
-		f.i64(col.Max)
+		w.str(col.Name)
+		w.i64(int64(col.Type))
+		w.i64(int64(col.AvgWidth))
+		w.i64(col.NDV)
+		w.i64(col.Min)
+		w.i64(col.Max)
 		if col.NotNull {
-			f.u64(1)
+			w.u64(1)
 		} else {
-			f.u64(0)
+			w.u64(0)
 		}
 		if st == nil {
 			continue
@@ -199,60 +215,69 @@ func (f *fpHasher) table(t *catalog.Table, st *stats.Store) {
 		if cs == nil {
 			continue
 		}
-		f.str("stats")
-		f.i64(cs.Rows)
-		f.i64(cs.Distinct)
-		f.i64(cs.Min)
-		f.i64(cs.Max)
+		w.str("stats")
+		w.i64(cs.Rows)
+		w.i64(cs.Distinct)
+		w.i64(cs.Min)
+		w.i64(cs.Max)
 		if cs.Hist != nil {
-			f.i64(cs.Hist.Rows)
-			f.i64(cs.Hist.Distinct)
+			w.i64(cs.Hist.Rows)
+			w.i64(cs.Hist.Distinct)
 			for _, b := range cs.Hist.Bounds {
-				f.i64(b)
+				w.i64(b)
 			}
 		}
 	}
 	for _, fk := range t.ForeignKeys {
-		f.str(fk.Column)
-		f.str(fk.RefTable)
-		f.str(fk.RefColumn)
+		w.str(fk.Column)
+		w.str(fk.RefTable)
+		w.str(fk.RefColumn)
 	}
 }
 
-// Fingerprint hashes everything the stored costs depend on: every catalog
-// table (row counts, pages, columns with widths/NDVs/domains, foreign
-// keys) in registration order, the statistics attached to each of its
-// columns, and the cost-model parameters. Two environments with equal
-// fingerprints cost plans identically, so a snapshot built under one is
-// exact under the other; any schema, statistics or parameter drift
-// changes the fingerprint and gets the snapshot rejected at load.
-func Fingerprint(cat *catalog.Catalog, st *stats.Store, params optimizer.CostParams) uint64 {
-	f := newFPHasher()
-	f.str("pinum-plancache-fp-v1")
-	f.params(params)
-	for _, t := range cat.Tables() {
-		f.table(t, st)
-	}
-	return f.h.Sum64()
+// Fingerprints is what one walk over an environment yields: the
+// whole-environment fingerprint and its per-table refinement.
+type Fingerprints struct {
+	// Env hashes everything the stored costs depend on: every catalog
+	// table (row counts, pages, columns with widths/NDVs/domains, foreign
+	// keys) in registration order, the statistics attached to each of its
+	// columns, and the cost-model parameters. Two environments with equal
+	// Env cost plans identically, so a snapshot built under one is exact
+	// under the other; any schema, statistics or parameter drift changes
+	// it and gets the snapshot rejected at load.
+	Env uint64
+	// Tables hashes each catalog table independently (same field walk,
+	// same cost parameters mixed into every hash). Two environments
+	// agreeing on a table's fingerprint cost every plan touching only that
+	// table's statistics identically, so a reload can re-optimize just the
+	// queries whose referenced tables moved and reuse the rest verbatim.
+	Tables map[string]uint64
 }
 
-// TableFingerprints hashes each catalog table independently (same field
-// walk as Fingerprint, same cost parameters mixed into every hash). Two
-// environments agreeing on a table's fingerprint cost every plan touching
-// only that table's statistics identically, so a reload can re-optimize
-// just the queries whose referenced tables moved and reuse the rest of
-// the snapshot verbatim.
-func TableFingerprints(cat *catalog.Catalog, st *stats.Store, params optimizer.CostParams) map[string]uint64 {
+// FingerprintAll walks the catalog and statistics once and returns both
+// fingerprint kinds. The values are stable across releases of this
+// package: snapshots on disk carry Env, so changing the field stream
+// would reject every one of them as stale.
+func FingerprintAll(cat *catalog.Catalog, st *stats.Store, params optimizer.CostParams) Fingerprints {
+	// No error to inject here: the point counts walks (one per load).
+	_ = faultpoint.Hit("plancache.fingerprint")
 	tables := cat.Tables()
-	out := make(map[string]uint64, len(tables))
+	out := Fingerprints{Tables: make(map[string]uint64, len(tables))}
+	tableSeed := prefix(tableFPTag, params)
+	w := fpWalk{env: prefix(envFPTag, params)}
 	for _, t := range tables {
-		f := newFPHasher()
-		f.str("pinum-plancache-tablefp-v1")
-		f.params(params)
-		f.table(t, st)
-		out[t.Name] = f.h.Sum64()
+		w.tbl = tableSeed
+		w.table(t, st)
+		out.Tables[t.Name] = w.tbl
 	}
+	out.Env = w.env
 	return out
+}
+
+// Fingerprint returns FingerprintAll's environment fingerprint, the value
+// a snapshot is stamped with and checked against at load.
+func Fingerprint(cat *catalog.Catalog, st *stats.Store, params optimizer.CostParams) uint64 {
+	return FingerprintAll(cat, st, params).Env
 }
 
 // ------------------------------------------------------------- codec ----

@@ -273,12 +273,12 @@ func TestSaveCrashSafety(t *testing.T) {
 func TestTableFingerprints(t *testing.T) {
 	s, _ := starSnapshot(t, 42)
 	params := optimizer.DefaultCostParams()
-	base := TableFingerprints(s.Catalog, s.Stats, params)
+	base := FingerprintAll(s.Catalog, s.Stats, params).Tables
 	if len(base) != len(s.Catalog.Tables()) {
 		t.Fatalf("fingerprinted %d tables, catalog has %d", len(base), len(s.Catalog.Tables()))
 	}
 
-	again := TableFingerprints(s.Catalog, s.Stats, params)
+	again := FingerprintAll(s.Catalog, s.Stats, params).Tables
 	for name, fp := range base {
 		if again[name] != fp {
 			t.Fatalf("table %s fingerprint not deterministic", name)
@@ -287,7 +287,7 @@ func TestTableFingerprints(t *testing.T) {
 
 	fact := s.Catalog.Table("fact")
 	fact.RowCount++
-	drifted := TableFingerprints(s.Catalog, s.Stats, params)
+	drifted := FingerprintAll(s.Catalog, s.Stats, params).Tables
 	fact.RowCount--
 	for name, fp := range base {
 		moved := drifted[name] != fp
@@ -300,7 +300,7 @@ func TestTableFingerprints(t *testing.T) {
 	}
 
 	params.RandomPageCost *= 2
-	repriced := TableFingerprints(s.Catalog, s.Stats, params)
+	repriced := FingerprintAll(s.Catalog, s.Stats, params).Tables
 	for name, fp := range base {
 		if repriced[name] == fp {
 			t.Errorf("cost-parameter change did not move %s's fingerprint", name)

@@ -65,13 +65,15 @@ const (
 
 // snapshotSet bundles everything a request reads into one immutable
 // world: the environment, the plan caches, the precomputed base costs,
-// the advisor candidate set, and the what-if index interner. Sets are
-// shared through each tenant's cur pointer and must only be handled by
-// pointer (the embedded mutex makes go vet reject copies); after
-// construction nothing in a set changes except the interner behind its
-// own mutex, so the atomic pointer flip in tenant.swap is the entire
-// synchronization story of a reload — and of an eviction, which stores
-// nil and lets in-flight requests finish on the set they hold.
+// the environment fingerprints, the what-if index interner, and — built
+// on first use — the advisor candidate set. Sets are shared through each
+// tenant's cur pointer and must only be handled by pointer (the embedded
+// mutex and once make go vet reject copies); after construction nothing
+// in a set changes except the interner behind its own mutex and the
+// candidate set behind its once, so the atomic pointer flip in
+// tenant.swap is the entire synchronization story of a reload — and of
+// an eviction, which stores nil and lets in-flight requests finish on the
+// set they hold.
 type snapshotSet struct {
 	env     *Environment
 	caches  []*inum.Cache
@@ -82,18 +84,17 @@ type snapshotSet struct {
 	base      []float64
 	baseTotal float64
 
-	// candidates is the advisor candidate set, generated once per set so
-	// every /recommend request prices the same stable descriptors.
-	// genErrors records candidates that failed to generate — they are
-	// absent from every /recommend answer, so /healthz counts them and
-	// /statz lists them rather than leaving degraded recommendations
-	// indistinguishable from correct ones.
-	candidates []*catalog.Index
-	genErrors  []string
+	// cands is the advisor candidate set, generated at most once per set
+	// by the first reader (see candidates), so a set that only ever
+	// answers /whatif never pays for it.
+	candOnce sync.Once
+	cands    candidateSet
 
 	// fingerprint identifies the (catalog, statistics, cost-parameter)
 	// environment; tableFPs is its per-table refinement, used by the
 	// next reload to reuse caches of queries whose tables didn't move.
+	// Both come from the one fingerprint walk of the load that built the
+	// set.
 	fingerprint uint64
 	tableFPs    map[string]uint64
 	queryIdx    map[string]int
@@ -110,23 +111,36 @@ type snapshotSet struct {
 	ws   *whatif.Session
 }
 
+// candidateSet is a set's advisor candidates: the same stable
+// descriptors for every /recommend request on the set. genErrors records
+// candidates that failed to generate — they are absent from every
+// /recommend answer, so /healthz counts them and /statz lists them rather
+// than leaving degraded recommendations indistinguishable from correct
+// ones.
+type candidateSet struct {
+	indexes   []*catalog.Index
+	genErrors []string
+}
+
 // newSnapshotSet assembles the immutable request-side state over built
-// caches: weights, base costs, the candidate set and a fresh interner.
-func newSnapshotSet(env *Environment, caches []*inum.Cache, source string) (*snapshotSet, error) {
+// caches: weights, base costs and a fresh interner, stamped with the
+// fingerprints the caller computed for env (the one walk of this load).
+// Every base cost is validated here, so the deferred candidate
+// generation meets no error set assembly did not already reject.
+func newSnapshotSet(env *Environment, caches []*inum.Cache, source string, fps plancache.Fingerprints) (*snapshotSet, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
 	}
 	if len(caches) != len(env.Queries) {
 		return nil, fmt.Errorf("serve: %d queries need matching caches (%d)", len(env.Queries), len(caches))
 	}
-	params := optimizer.DefaultCostParams()
 	set := &snapshotSet{
 		env:         env,
 		caches:      caches,
 		weights:     normalizeWeights(env.Weights, len(env.Queries)),
 		base:        make([]float64, len(caches)),
-		fingerprint: plancache.Fingerprint(env.Catalog, env.Stats, params),
-		tableFPs:    plancache.TableFingerprints(env.Catalog, env.Stats, params),
+		fingerprint: fps.Env,
+		tableFPs:    fps.Tables,
 		queryIdx:    make(map[string]int, len(env.Queries)),
 		source:      source,
 		ws:          whatif.NewSession(env.Catalog),
@@ -143,22 +157,35 @@ func newSnapshotSet(env *Environment, caches []*inum.Cache, source string) (*sna
 		//pinum:costarith-ok workload objective Σ wᵢ·cᵢ mirroring advisor.workloadCost; pinned by TestWhatIfMatchesInProcess
 		set.baseTotal += set.weights[i] * cost
 	}
-
-	// Generate the candidate set once through a throwaway advisor so
-	// /recommend requests share descriptors (and the caches' leaf memo
-	// stays bounded by the candidate count, not the request count).
-	gen := advisor.New(env.Catalog, env.Stats, 0)
-	for i, q := range env.Queries {
-		if err := gen.AddPrepared(q, env.Analyses[i], caches[i], set.weights[i]); err != nil {
-			return nil, err
-		}
-	}
-	gen.GenerateCandidates()
-	set.candidates = gen.Candidates()
-	for _, err := range gen.GenerationErrors() {
-		set.genErrors = append(set.genErrors, err.Error())
-	}
 	return set, nil
+}
+
+// candidates returns the set's advisor candidate set, generating it on
+// the first call through a throwaway advisor so /recommend requests share
+// descriptors (and the caches' leaf memo stays bounded by the candidate
+// count, not the request count). Concurrent first callers wait for the
+// one generation and all see its result.
+func (set *snapshotSet) candidates() *candidateSet {
+	set.candOnce.Do(func() {
+		// No error to inject here: the point counts generations, and in
+		// delay mode widens the first-use race window.
+		_ = faultpoint.Hit("serve.candidates")
+		env := set.env
+		gen := advisor.New(env.Catalog, env.Stats, 0)
+		for i, q := range env.Queries {
+			// AddPrepared's only error is the base cost newSnapshotSet
+			// already computed from the same sealed cache.
+			if err := gen.AddPrepared(q, env.Analyses[i], set.caches[i], set.weights[i]); err != nil {
+				set.cands.genErrors = append(set.cands.genErrors, err.Error())
+			}
+		}
+		gen.GenerateCandidates()
+		set.cands.indexes = gen.Candidates()
+		for _, err := range gen.GenerationErrors() {
+			set.cands.genErrors = append(set.cands.genErrors, err.Error())
+		}
+	})
+	return &set.cands
 }
 
 func normalizeWeights(weights []float64, n int) []float64 {
@@ -292,6 +319,7 @@ func (t *tenant) reloadNow(force bool) (ReloadOutcome, error) {
 	opID := s.nextTraceID()
 	t.reloadMu.Lock()
 	defer t.reloadMu.Unlock()
+	start := time.Now()
 	set, skipped, err := t.buildSetContained(force)
 	if err != nil {
 		t.reloadsFailed.Inc()
@@ -321,6 +349,7 @@ func (t *tenant) reloadNow(force bool) (ReloadOutcome, error) {
 		}, nil
 	}
 	t.publish(set)
+	t.observeLoad(set, start)
 	t.reloadsOK.Inc()
 	t.saveSnapshot(set)
 	s.recordEvent("reload", t.name, opID,
@@ -428,11 +457,12 @@ func (t *tenant) buildSet(force bool) (*snapshotSet, bool, error) {
 	if err := env.validate(); err != nil {
 		return nil, false, err
 	}
-	params := optimizer.DefaultCostParams()
-	fp := plancache.Fingerprint(env.Catalog, env.Stats, params)
+	// The load's one fingerprint walk: it decides the skip, checks the
+	// disk snapshot, drives per-table reuse and stamps the new set.
+	fps := plancache.FingerprintAll(env.Catalog, env.Stats, optimizer.DefaultCostParams())
 	prev := t.current()
 
-	if !force && prev != nil && fp == prev.fingerprint &&
+	if !force && prev != nil && fps.Env == prev.fingerprint &&
 		sameWorkload(prev.env, env) &&
 		weightsEqual(prev.weights, normalizeWeights(env.Weights, len(env.Queries))) {
 		return nil, true, nil
@@ -442,9 +472,9 @@ func (t *tenant) buildSet(force bool) (*snapshotSet, bool, error) {
 		// A matching disk snapshot short-circuits all optimization. A
 		// missing, stale or corrupt one is not a reload failure — the
 		// rebuild below is the fallback, exactly like cold start.
-		if snap, err := plancache.Load(t.snapshotPath, fp); err == nil {
+		if snap, err := plancache.Load(t.snapshotPath, fps.Env); err == nil {
 			if caches, err := plancache.BuildCaches(snap, env.Queries, env.Analyses); err == nil {
-				set, err := newSnapshotSet(env, caches, sourceDisk)
+				set, err := newSnapshotSet(env, caches, sourceDisk, fps)
 				if err != nil {
 					return nil, false, err
 				}
@@ -454,12 +484,11 @@ func (t *tenant) buildSet(force bool) (*snapshotSet, bool, error) {
 	}
 
 	n := len(env.Queries)
-	tfps := plancache.TableFingerprints(env.Catalog, env.Stats, params)
 	caches := make([]*inum.Cache, n)
 	reused := 0
 	var rebuild []int
 	for i, q := range env.Queries {
-		if !force && prev != nil && reusable(prev, q, tfps) {
+		if !force && prev != nil && reusable(prev, q, fps.Tables) {
 			// Reconstructing a slim cache from the previous set's entries
 			// is deterministic bit-for-bit, so a reused query's costs are
 			// byte-identical before and after the swap.
@@ -490,7 +519,7 @@ func (t *tenant) buildSet(force bool) (*snapshotSet, bool, error) {
 	if reused > 0 {
 		source = sourceIncremental
 	}
-	set, err := newSnapshotSet(env, caches, source)
+	set, err := newSnapshotSet(env, caches, source, fps)
 	if err != nil {
 		return nil, false, err
 	}

@@ -317,7 +317,8 @@ func New(cfg Config) (*Server, error) {
 				Analyses: cfg.Analyses,
 				Weights:  cfg.Weights,
 			}
-			set, err := newSnapshotSet(env, cfg.Caches, sourceStartup)
+			fps := plancache.FingerprintAll(env.Catalog, env.Stats, optimizer.DefaultCostParams())
+			set, err := newSnapshotSet(env, cfg.Caches, sourceStartup, fps)
 			if err != nil {
 				return nil, err
 			}
@@ -863,7 +864,7 @@ func (s *Server) recommendOn(ctx context.Context, set *snapshotSet, req *Recomme
 			return nil, err
 		}
 	}
-	for _, ix := range set.candidates {
+	for _, ix := range set.candidates().indexes {
 		ad.AddCandidate(ix)
 	}
 	rt := time.Now()
@@ -1090,8 +1091,9 @@ func (s *Server) tenantHealth(t *tenant) map[string]any {
 		out["queries"] = len(set.env.Queries)
 		out["entries"] = entries
 		out["slim"] = slim
-		out["candidates"] = len(set.candidates)
-		out["candidate_gen_errors"] = len(set.genErrors)
+		cands := set.candidates()
+		out["candidates"] = len(cands.indexes)
+		out["candidate_gen_errors"] = len(cands.genErrors)
 		out["fingerprint"] = fmt.Sprintf("%016x", set.fingerprint)
 		out["snapshot_source"] = set.source
 	}
@@ -1244,8 +1246,8 @@ func (s *Server) handleStatz(r *http.Request) (any, error) {
 			out["snapshot_source"] = set.source
 			out["queries_reused"] = set.reused
 			out["queries_rebuilt"] = set.rebuilt
-			if len(set.genErrors) > 0 {
-				out["candidate_gen_errors"] = set.genErrors
+			if genErrors := set.candidates().genErrors; len(genErrors) > 0 {
+				out["candidate_gen_errors"] = genErrors
 			}
 		}
 	}

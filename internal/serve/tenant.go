@@ -111,9 +111,12 @@ type tenant struct {
 	rejected       *obs.Counter
 	requests       *obs.Counter
 	errors         *obs.Counter
-	degraded       atomic.Bool
-	lastReloadErr  atomic.Value // string
-	lastSaveErr    atomic.Value // string
+	// loadDuration times every cold load and completed reload, keyed by
+	// the new set's source (disk-snapshot, incremental, rebuilt).
+	loadDuration  map[string]*obs.Histogram
+	degraded      atomic.Bool
+	lastReloadErr atomic.Value // string
+	lastSaveErr   atomic.Value // string
 
 	// Snapshot-shape gauges, refreshed on every publish.
 	snapQueries    *obs.Gauge
@@ -144,6 +147,12 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 	t.reloadsOK = s.reg.Counter("pinum_tenant_reloads_total", reloadHelp, tl, obs.L("result", "completed"))
 	t.reloadsSkipped = s.reg.Counter("pinum_tenant_reloads_total", reloadHelp, tl, obs.L("result", "skipped"))
 	t.reloadsFailed = s.reg.Counter("pinum_tenant_reloads_total", reloadHelp, tl, obs.L("result", "failed"))
+	t.loadDuration = make(map[string]*obs.Histogram, 3)
+	for _, src := range []string{sourceDisk, sourceIncremental, sourceRebuilt} {
+		t.loadDuration[src] = s.reg.Histogram("pinum_tenant_load_duration_seconds",
+			"Seconds from the start of a cold load or completed reload to its set going live, by the set's source.",
+			tl, obs.L("source", src))
+	}
 	s.reg.GaugeFunc("pinum_tenant_degraded",
 		"1 while the tenant's last reload failed (the old set keeps serving).",
 		func() float64 {
@@ -205,16 +214,24 @@ func (t *tenant) publish(set *snapshotSet) {
 	t.srv.noteResident(t)
 }
 
+// observeLoad records one cold load or completed reload that started at
+// start and just published set.
+func (t *tenant) observeLoad(set *snapshotSet, start time.Time) {
+	t.loadDuration[set.source].Observe(time.Since(start).Seconds())
+}
+
 // snapshotGauges refreshes the tenant's snapshot-shape metrics from a
 // freshly published set: query counts, approximate entry bytes, and the
 // aggregated planner work counters its builds recorded (all zero for a
-// disk-loaded set, which did no planning).
+// disk-loaded set, which did no planning). Entry bytes come from the
+// memory walk every cache builder stores in Stats.Mem once the cache is
+// complete; a sealed cache's footprint never changes after that.
 func (t *tenant) snapshotGauges(set *snapshotSet) {
 	var ps optimizer.PlannerStats
 	var entryBytes int64
 	for _, c := range set.caches {
 		ps.Add(c.Stats.Planner)
-		entryBytes += c.MemStats().TotalBytes()
+		entryBytes += c.Stats.Mem.TotalBytes()
 	}
 	t.snapQueries.Set(float64(len(set.env.Queries)))
 	t.snapReused.Set(float64(set.reused))
@@ -347,11 +364,13 @@ func (s *Server) acquireSet(t *tenant) (*snapshotSet, error) {
 		return nil, s.coldLoadFailed(t, err)
 	}
 	t.coldLoads.Inc()
+	start := time.Now()
 	set, _, err := t.buildSetContained(false)
 	if err != nil {
 		return nil, s.coldLoadFailed(t, err)
 	}
 	t.publish(set)
+	t.observeLoad(set, start)
 	t.saveSnapshot(set)
 	s.recordEvent("cold-load", t.name, "",
 		fmt.Sprintf("fingerprint=%016x source=%s", set.fingerprint, set.source))

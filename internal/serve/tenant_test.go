@@ -281,6 +281,23 @@ func TestTenantLRUEviction(t *testing.T) {
 	if st := f.tenantStatz(t, "initech"); !st.Resident {
 		t.Fatal("initech (recently used) was evicted, want resident")
 	}
+
+	// Each of acme's two cold loads is one load-duration observation
+	// under its source: the first rebuilt, the second from disk.
+	acme := f.srv.tenants["acme"]
+	for src, want := range map[string]int64{sourceRebuilt: 1, sourceDisk: 1, sourceIncremental: 0} {
+		if got := acme.loadDuration[src].Count(); got != want {
+			t.Errorf("acme load_duration{source=%q} count = %d, want %d", src, got, want)
+		}
+	}
+	// The entry-bytes gauge reports a full memory walk of the live set.
+	var walked int64
+	for _, c := range acme.current().caches {
+		walked += c.MemStats().TotalBytes()
+	}
+	if got := acme.snapEntryBytes.Value(); got != float64(walked) || walked == 0 {
+		t.Errorf("acme pinum_snapshot_entry_bytes = %v, want the caches' MemStats total %d", got, walked)
+	}
 }
 
 // TestMultiTenantByteIdentity is the acceptance drill: one process with
