@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -242,6 +243,44 @@ func runJSONBench(label string, seed int64) (string, error) {
 				}
 			}
 		})
+	}
+
+	// The INUM kernel: Cache.Cost on the widest query's PINUM cache over
+	// 200 seeded random atomic configurations, priced concurrently at
+	// GOMAXPROCS 1, 2 and 4. Cost shares no mutable state, so ns/op
+	// should fall with the CPU count on a host that has the cores.
+	{
+		wide := analyses[0]
+		for _, a := range analyses {
+			if len(a.Rels) > len(wide.Rels) {
+				wide = a
+			}
+		}
+		cache, err := core.Build(wide, whatif.NewSession(env.Star.Catalog))
+		if err != nil {
+			return "", err
+		}
+		ws := whatif.NewSession(env.Star.Catalog)
+		rng := rand.New(rand.NewSource(seed))
+		cfgs := make([]*query.Config, 200)
+		for i := range cfgs {
+			if cfgs[i], err = workload.RandomAtomicConfig(rng, wide, ws, 0.7); err != nil {
+				return "", err
+			}
+		}
+		for _, cpus := range []int{1, 2, 4} {
+			cpus := cpus
+			measure(fmt.Sprintf("CacheCost/tables=%d/cpu=%d", len(wide.Rels), cpus), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
+				b.RunParallel(func(pb *testing.PB) {
+					for i := 0; pb.Next(); i++ {
+						if _, _, err := cache.Cost(cfgs[i%len(cfgs)]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			})
+		}
 	}
 
 	// Snapshot + serving layer: these also diversify the suite away from

@@ -106,7 +106,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8093", "listen address")
 	seed := flag.Int64("seed", 42, "workload generation seed")
 	scale := flag.Float64("scale", 1.0, "statistics scale (1.0 = the paper's 10 GB)")
-	workers := flag.Int("workers", 0, "worker pool for request evaluation and snapshot builds (0 = all CPUs)")
+	workers := flag.Int("workers", 0, "worker pool for /recommend searches and snapshot builds (0 = all CPUs)")
 	snapshot := flag.String("snapshot", "", "plan-cache snapshot path: loaded when present and fresh, else built and saved")
 	saveExit := flag.Bool("save-exit", false, "build/refresh the snapshot and exit without serving")
 	statsOverrides := flag.String("stats-overrides", "",

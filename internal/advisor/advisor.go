@@ -139,8 +139,8 @@ func (ad *Advisor) AddQuery(q *query.Query, weight float64) error {
 // already exist — the serving layer's path, where one immutable cache set
 // is built (or loaded from a snapshot) at startup and every /recommend
 // request prices it through a fresh Advisor. The cache is shared, not
-// copied: Cost and the leaf memo are safe for concurrent use, and the
-// greedy search's own state lives in the per-run cost engine.
+// copied: a built cache is immutable and Cost is safe for concurrent use,
+// and the greedy search's own state lives in the per-run cost engine.
 func (ad *Advisor) AddPrepared(q *query.Query, a *optimizer.Analysis, cache *inum.Cache, weight float64) error {
 	if weight <= 0 {
 		weight = 1
@@ -251,9 +251,9 @@ func (ad *Advisor) GenerationErrors() []error { return ad.genErrs }
 
 // Candidates returns the registered candidate indexes in registration
 // order. A long-lived server generates the workload's candidate set once
-// and feeds it to every per-request advisor through AddCandidate, so the
-// shared caches' leaf memo sees one stable descriptor per candidate
-// instead of fresh ones per request.
+// and feeds it to every per-request advisor through AddCandidate, so
+// /recommend requests share one stable descriptor per candidate instead
+// of regenerating them.
 func (ad *Advisor) Candidates() []*catalog.Index {
 	return append([]*catalog.Index(nil), ad.candidates...)
 }
@@ -295,8 +295,7 @@ func (ad *Advisor) workloadCost(chosen []*catalog.Index) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		//pinum:costarith-ok the workload objective Σ wᵢ·cᵢ on the reference path; the engine mirror is pinned by TestRunMatchesReferenceStarWorkload
-		total += qs.Weight * c
+		total = optimizer.AddWeighted(total, qs.Weight, c)
 	}
 	return total, nil
 }
@@ -313,8 +312,7 @@ func (ad *Advisor) workloadCostPer(chosen []*catalog.Index) (float64, []float64,
 		if err != nil {
 			return 0, nil, err
 		}
-		//pinum:costarith-ok same objective as workloadCost with the per-query breakdown kept; pinned by TestRunMatchesReferenceStarWorkload
-		total += qs.Weight * c
+		total = optimizer.AddWeighted(total, qs.Weight, c)
 		per[i] = c
 	}
 	return total, per, nil

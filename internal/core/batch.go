@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"time"
 
 	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/inum"
@@ -29,23 +28,11 @@ func Fan(n, workers int, newWorker func() func(i int)) {
 
 // FanCtx is Fan with cancellation: once ctx is done no further jobs are
 // dispatched, in-flight jobs finish, and ctx.Err() is returned (nil when
-// every job was dispatched first). A serving layer threads each request's
-// context through here so a disconnected client or an expired deadline
-// stops burning workers on per-query evaluations nobody will read.
-// Callers must treat their result slices as incomplete whenever the
-// returned error is non-nil: indexes past the cancellation point were
-// never evaluated.
+// every job was dispatched first), so a cancelled caller stops burning
+// workers on jobs nobody will read. Callers must treat their result
+// slices as incomplete whenever the returned error is non-nil: indexes
+// past the cancellation point were never evaluated.
 func FanCtx(ctx context.Context, n, workers int, newWorker func() func(i int)) error {
-	return FanCtxObserved(ctx, n, workers, newWorker, nil)
-}
-
-// FanCtxObserved is FanCtx with per-job timing: when observe is non-nil,
-// every completed job reports (index, start, duration) from its worker
-// goroutine — the hook the serving layer uses to attach per-query spans
-// to a request trace. observe must be safe for concurrent calls; a nil
-// observe takes the exact FanCtx dispatch path with no timestamp reads,
-// so untraced requests pay nothing.
-func FanCtxObserved(ctx context.Context, n, workers int, newWorker func() func(i int), observe func(i int, start time.Time, d time.Duration)) error {
 	if n == 0 {
 		return ctx.Err()
 	}
@@ -62,16 +49,8 @@ func FanCtxObserved(ctx context.Context, n, workers int, newWorker func() func(i
 		go func() {
 			defer wg.Done()
 			job := newWorker()
-			if observe == nil {
-				for i := range jobs {
-					job(i)
-				}
-				return
-			}
 			for i := range jobs {
-				start := time.Now()
 				job(i)
-				observe(i, start, time.Since(start))
 			}
 		}()
 	}

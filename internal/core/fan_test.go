@@ -52,34 +52,6 @@ func TestFanCtxStopsDispatchOnCancel(t *testing.T) {
 	}
 }
 
-// TestFanCtxObserved pins the timing hook: every job reports exactly
-// once with its own index and a duration no shorter than the work, and
-// the nil-observe path still runs everything.
-func TestFanCtxObserved(t *testing.T) {
-	const n = 20
-	var observed [n]atomic.Int32
-	var durOK [n]atomic.Int32
-	err := FanCtxObserved(context.Background(), n, 4, func() func(int) {
-		return func(i int) { time.Sleep(time.Millisecond) }
-	}, func(i int, start time.Time, d time.Duration) {
-		observed[i].Add(1)
-		if d >= time.Millisecond && !start.IsZero() {
-			durOK[i].Add(1)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range observed {
-		if observed[i].Load() != 1 {
-			t.Fatalf("job %d observed %d times, want 1", i, observed[i].Load())
-		}
-		if durOK[i].Load() != 1 {
-			t.Fatalf("job %d reported an implausible start/duration", i)
-		}
-	}
-}
-
 // TestFanCtxExpiredDeadline pins the already-dead case: a context that
 // expired before the call dispatches nothing (workers start and drain an
 // instantly closed queue).

@@ -1,32 +1,33 @@
 // Package costmatrix implements the incremental workload-cost engine the
-// advisor's greedy search runs on: a shared cost matrix over (query, plan,
-// relation) that turns each candidate evaluation from a full re-pricing of
-// the workload into a delta computation.
+// advisor's greedy search runs on: per-query leaf-cost state under the
+// applied index set that turns each candidate evaluation from a full
+// re-pricing of the workload into a delta computation.
 //
 // The INUM/CoPhy-style decomposition the engine exploits is that a cached
 // plan's cost is Internal + Σ coef × accessCost(leaf, C), and accessCost is
 // a min over the configuration's indexes per relation. Adding one candidate
 // index to an already-priced configuration therefore only changes leaves on
 // the candidate's table, and the new per-leaf cost is
-// min(currentBest[rel], leafCost(candidate)) — no other index in the
+// min(current[leaf], leafCost(candidate)) — no other index in the
 // configuration needs to be looked at again. A workload-level inverted
 // index (table → queries) skips entirely the queries that never reference
 // the candidate's table.
 //
-// The engine consumes only each cached plan's slim decomposition —
-// Internal, Leaves, and the BaseLeafCosts snapshot — never the plan's
-// path tree, so it runs unchanged over slim and snapshot-loaded caches
+// Each query keeps one inum kernel table: its leaf-slot costs under the
+// applied set. Pricing a candidate copies that table onto the stack,
+// lowers only the slots on the candidate's table (inum.Cache.Lower) and
+// runs the cache's own fold (inum.Cache.Fold); committing a pick lowers
+// the kept table in place. The engine never reads a plan's path tree, so
+// it runs unchanged over slim and snapshot-loaded caches
 // (internal/plancache) as well as tree-backed ones; the serving layer's
 // /recommend endpoint relies on exactly that.
 //
 // The engine's results are bit-identical to pricing each configuration from
-// scratch through inum.Cache.Cost: per-leaf minimisation visits indexes in
-// the same order (applied set in pick order, candidate last) with the same
-// strict < rule, per-plan summation accumulates coef × leaf in relation
-// order starting from the internal cost, plan choice scans plans in cache
-// order with strict improvement, and workload totals sum weight × query
-// cost in registration order. Floating-point min and identical accumulation
-// orders make every intermediate equal down to the last bit.
+// scratch through inum.Cache.Cost, because it is the same kernel: each
+// slot sees the applied set in pick order and the candidate last with the
+// same strict < rule that resolving the equivalent configuration applies,
+// the fold is shared, and workload totals fold weight × query cost with
+// optimizer.AddWeighted in registration order.
 package costmatrix
 
 import (
@@ -36,6 +37,7 @@ import (
 
 	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/inum"
+	"github.com/pinumdb/pinum/internal/optimizer"
 )
 
 // Query is one workload entry: a built plan cache and its frequency weight
@@ -66,24 +68,12 @@ type Stats struct {
 	Applies int64
 }
 
-// planState is the live state of one cached plan under the applied set.
-type planState struct {
-	cp *inum.CachedPlan
-	// leafBest[rel] is the best access cost for relation rel over the
-	// applied indexes (+Inf while no applied index satisfies an ordered or
-	// lookup requirement). It is maintained with exactly the minimisation
-	// LeafAccessCost runs, one applied index at a time, in pick order.
-	leafBest []float64
-}
-
 // queryState is the live state of one workload query.
 type queryState struct {
 	cache  *inum.Cache
 	weight float64
-	// relsOnTable maps a table name to the query's relation slots on that
-	// table, ascending — several slots for self-joins.
-	relsOnTable map[string][]int
-	plans       []planState
+	// table is the cache's kernel table resolved under the applied set.
+	table []float64
 	// best is the winning plan cost under the applied set (what
 	// Cache.Cost would return for the equivalent configuration).
 	best float64
@@ -123,72 +113,26 @@ func New(queries []Query) (*Engine, error) {
 		if w <= 0 {
 			w = 1
 		}
-		qs := &queryState{cache: c, weight: w, relsOnTable: make(map[string][]int)}
-		for rel, r := range c.Q.Rels {
-			t := r.Table.Name
-			qs.relsOnTable[t] = append(qs.relsOnTable[t], rel)
-		}
-		// Queries are processed in registration order, so each per-table
-		// list stays ascending without sorting.
-		//pinum:nondeterministic-ok per-table lists are disjoint: iteration order only interleaves appends to different e.byTable keys, never reorders within one
-		for t := range qs.relsOnTable {
-			e.byTable[t] = append(e.byTable[t], qi)
-		}
-		qs.plans = make([]planState, len(c.Plans))
-		for i, cp := range c.Plans {
-			qs.plans[i] = planState{cp: cp, leafBest: c.BaseLeafCosts(cp)}
-		}
-		qs.best = qs.costWith(nil)
+		qs := &queryState{cache: c, weight: w, table: c.Table(nil)}
+		c.Resolve(qs.table, nil)
+		qs.best, _ = c.Fold(qs.table)
 		if math.IsInf(qs.best, 1) {
 			return nil, fmt.Errorf("costmatrix: no applicable cached plan for query %s under the empty configuration", c.Q.Name)
+		}
+		// Queries are processed in registration order, so each per-table
+		// list stays ascending without sorting; self-joins list a query
+		// once per table.
+		onTable := make(map[string]bool, len(c.Q.Rels))
+		for _, r := range c.Q.Rels {
+			if t := r.Table.Name; !onTable[t] {
+				onTable[t] = true
+				e.byTable[t] = append(e.byTable[t], qi)
+			}
 		}
 		e.queries = append(e.queries, qs)
 	}
 	e.recomputeTotal()
 	return e, nil
-}
-
-// costWith returns the query's best cached-plan cost under the applied set
-// plus an optional extra candidate (nil = applied set only). The
-// arithmetic replicates Cache.Cost exactly: per leaf, the candidate folds
-// into the stored minimum with the same strict < an index appended last to
-// the configuration would see; the plan total accumulates coef × leaf in
-// relation order from the internal cost; the plan choice scans plans in
-// cache order with strict improvement.
-//
-//pinum:hotpath
-func (qs *queryState) costWith(extra *catalog.Index) float64 {
-	var rels []int
-	if extra != nil {
-		rels = qs.relsOnTable[extra.Table]
-	}
-	best := math.Inf(1)
-	for pi := range qs.plans {
-		ps := &qs.plans[pi]
-		cost := ps.cp.Internal
-		ok := true
-		ri := 0
-		for rel := range ps.leafBest {
-			req := ps.cp.Leaf(rel)
-			l := ps.leafBest[rel]
-			if ri < len(rels) && rels[ri] == rel {
-				ri++
-				if c, o := qs.cache.IndexLeafCost(rel, req, extra); o && c < l {
-					l = c
-				}
-			}
-			if math.IsInf(l, 1) {
-				ok = false
-				break
-			}
-			//pinum:costarith-ok bit-identical mirror of inum.Cache.Cost's fold, pinned by TestBaselineMatchesCacheCost and TestEvaluateAndApplyMatchCacheCost
-			cost += req.Coef * l
-		}
-		if ok && cost < best {
-			best = cost
-		}
-	}
-	return best
 }
 
 // recomputeTotal refreshes the workload total as the same in-order weighted
@@ -197,8 +141,7 @@ func (qs *queryState) costWith(extra *catalog.Index) float64 {
 func (e *Engine) recomputeTotal() {
 	total := 0.0
 	for _, qs := range e.queries {
-		//pinum:costarith-ok same in-order weighted sum as EvaluateCandidate and advisor.workloadCost; pinned by advisor.TestRunMatchesReferenceStarWorkload
-		total += qs.weight * qs.best
+		total = optimizer.AddWeighted(total, qs.weight, qs.best)
 	}
 	e.total = total
 }
@@ -228,7 +171,7 @@ func (e *Engine) Chosen() []*catalog.Index {
 // result is bit-identical to re-pricing the whole workload from scratch
 // under the equivalent configuration. Safe for concurrent use.
 //
-//pinum:hotpath
+//pinum:allocfree pinned by TestEvaluateCandidateAllocFree
 func (e *Engine) EvaluateCandidate(ix *catalog.Index) float64 {
 	affected := e.byTable[ix.Table]
 	total := 0.0
@@ -237,18 +180,21 @@ func (e *Engine) EvaluateCandidate(ix *catalog.Index) float64 {
 	// run many evaluations at once, and per-query atomic adds on shared
 	// cache lines would make even the skip path contended.
 	var evals, skips, plans int64
+	var buf [inum.StackSlots]float64
 	for qi, qs := range e.queries {
 		c := qs.best
 		if j < len(affected) && affected[j] == qi {
 			j++
-			c = qs.costWith(ix)
+			tbl := qs.cache.Table(buf[:])
+			copy(tbl, qs.table)
+			qs.cache.Lower(tbl, ix)
+			c, _ = qs.cache.Fold(tbl)
 			evals++
-			plans += int64(len(qs.plans))
+			plans += int64(len(qs.cache.Plans))
 		} else {
 			skips++
 		}
-		//pinum:costarith-ok the workload objective Σ wᵢ·cᵢ, mirroring advisor.workloadCost in query order; pinned by advisor.TestRunMatchesReferenceStarWorkload
-		total += qs.weight * c
+		total = optimizer.AddWeighted(total, qs.weight, c)
 	}
 	e.candidateEvals.Add(1)
 	e.queryEvals.Add(evals)
@@ -257,8 +203,8 @@ func (e *Engine) EvaluateCandidate(ix *catalog.Index) float64 {
 	return total
 }
 
-// Apply commits a pick: per affected query, each plan's leafBest entries on
-// the pick's table fold the pick in (the same min EvaluateCandidate
+// Apply commits a pick: per affected query, the kept table's slots on the
+// pick's table fold the pick in (the same lowering EvaluateCandidate
 // computed), the query's winning cost is refreshed, and the workload total
 // is re-summed. Unaffected queries are untouched. Not safe to run
 // concurrently with evaluations.
@@ -266,17 +212,8 @@ func (e *Engine) Apply(pick *catalog.Index) {
 	e.applies.Add(1)
 	for _, qi := range e.byTable[pick.Table] {
 		qs := e.queries[qi]
-		rels := qs.relsOnTable[pick.Table]
-		for pi := range qs.plans {
-			ps := &qs.plans[pi]
-			for _, rel := range rels {
-				req := ps.cp.Leaf(rel)
-				if c, ok := qs.cache.IndexLeafCost(rel, req, pick); ok && c < ps.leafBest[rel] {
-					ps.leafBest[rel] = c
-				}
-			}
-		}
-		qs.best = qs.costWith(nil)
+		qs.cache.Lower(qs.table, pick)
+		qs.best, _ = qs.cache.Fold(qs.table)
 	}
 	e.recomputeTotal()
 	e.chosen = append(e.chosen, pick)

@@ -307,6 +307,23 @@ func TestConcurrentEvaluateMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestEvaluateCandidateAllocFree is the pin behind EvaluateCandidate's
+// //pinum:allocfree directive: the per-query table copy lives on the
+// stack, so pricing a candidate over the whole star workload allocates
+// nothing.
+func TestEvaluateCandidateAllocFree(t *testing.T) {
+	s, caches, weights := setup(t, 10)
+	e := newEngine(t, caches, weights)
+	pool := candidatePool(t, s)
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		e.EvaluateCandidate(pool[i%len(pool)])
+		i++
+	}); n != 0 {
+		t.Fatalf("EvaluateCandidate allocated %v times per op, want 0", n)
+	}
+}
+
 // TestNewRejectsNilCache checks the constructor validates its input.
 func TestNewRejectsNilCache(t *testing.T) {
 	if _, err := New([]Query{{Cache: nil}}); err == nil {

@@ -10,6 +10,14 @@
 //	min over cached plans p applicable under C of
 //	    internal(p) + Σ_leaves coef × accessCost(leaf, C)
 //
+// Pricing one configuration is a single kernel with no shared mutable
+// state: every (relation, packed leaf) pair the cache references owns a
+// dense slot, each slot is resolved once per configuration from the
+// Analysis into a per-call table, and the fold above then runs over the
+// packed leaf arenas reading that table. The incremental cost engine
+// (internal/costmatrix) keeps such tables across greedy rounds and calls
+// the same fold.
+//
 // Package core builds the same cache with just one optimizer call per
 // nested-loop mode (the paper's contribution); this package provides the
 // cache structure, the cost model, and the conventional one-call-per-
@@ -20,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -49,7 +56,7 @@ type CachedPlan struct {
 	// for them and for entries decoded from snapshots.
 	Sig string
 	// Path is the originating path tree, kept for EXPLAIN and execution.
-	// Slim cache entries store nil: Cost and BaseLeafCosts never read it,
+	// Slim cache entries store nil: Cost and the kernel never read it,
 	// and dropping it releases the DP planner's retained trees — the
 	// dominant share of cache memory on wide ExportAll queries.
 	Path *optimizer.Path
@@ -154,9 +161,11 @@ func (m MemStats) String() string {
 		float64(m.TotalBytes())/1024, float64(m.EntryBytes)/1024, float64(m.PathBytes)/1024)
 }
 
-// Cache is an INUM plan cache for one query. Cost is safe for concurrent
-// use (the advisor's parallel greedy search prices many configurations at
-// once); construction (AddPath) is not.
+// Cache is an INUM plan cache for one query. Once built it is immutable,
+// so Cost and the kernel methods (Resolve, Lower, Fold) are safe for
+// concurrent use without locks (the advisor's parallel greedy search and
+// the serving layer price many configurations at once); construction
+// (AddPath, AddSlim) is not.
 type Cache struct {
 	Q     *query.Query
 	A     *optimizer.Analysis
@@ -177,46 +186,50 @@ type Cache struct {
 
 	sigs map[string]bool
 
-	// Leaf access costs depend only on (relation, requirement, index), not
-	// on the rest of the configuration, so they are memoized across Cost
-	// calls: a greedy round evaluating |candidates| configurations that
-	// share the chosen prefix recomputes nothing for the prefix.
-	mu       sync.RWMutex
-	leafMemo map[leafKey]leafVal
-	seqMemo  map[int]float64
+	// Kernel slot space, fixed at NewCache: relation rel's packed leaves
+	// map to slots [rels[rel].off, rels[rel].off+A.LeafSlots(rel)).
+	rels   []relSlots
+	nSlots int
+	// base holds each referenced slot's cost under the empty
+	// configuration (+Inf for ordered and lookup leaves), filled the
+	// first time an entry references the slot; unreferenced slots hold
+	// NaN, which no priced leaf can be.
+	base []float64
 }
 
-// leafKey identifies one memoized leaf access cost.
-type leafKey struct {
-	rel  int
-	mode optimizer.AccessMode
-	col  string
-	ix   *catalog.Index
-}
-
-// leafVal is a memoized Analysis.IndexLeafCost result, applicability
-// verdict included, so the applicability rules live only in the optimizer.
-type leafVal struct {
-	cost float64
-	ok   bool
+// relSlots is one relation's share of the kernel slot space.
+type relSlots struct {
+	off, orders int
+	// used lists the packed leaves some entry references on this
+	// relation, in first-reference order: the only slots Resolve and
+	// Lower ever price.
+	used []uint16
 }
 
 // NewCache returns an empty cache over the analysed query.
 func NewCache(a *optimizer.Analysis) *Cache {
-	return &Cache{
-		Q:        a.Q,
-		A:        a,
-		sigs:     make(map[string]bool),
-		leafMemo: make(map[leafKey]leafVal),
-		seqMemo:  make(map[int]float64),
+	c := &Cache{
+		Q:    a.Q,
+		A:    a,
+		sigs: make(map[string]bool),
+		rels: make([]relSlots, len(a.Rels)),
 	}
+	for rel := range a.Rels {
+		c.rels[rel] = relSlots{off: c.nSlots, orders: len(a.Rels[rel].Interesting)}
+		c.nSlots += a.LeafSlots(rel)
+	}
+	c.base = make([]float64, c.nSlots)
+	for s := range c.base {
+		c.base[s] = math.NaN()
+	}
+	return c
 }
 
 // NewSlimCache returns an empty slim cache over the analysed query: every
 // AddPath retains only the plan's INUM decomposition (combo, internal
 // cost, per-relation leaf requirements) and drops the path tree and the
-// signature string. Cost and BaseLeafCosts results are bit-identical to a
-// tree-backed cache built from the same paths — they never read either.
+// signature string. Cost results are bit-identical to a tree-backed cache
+// built from the same paths — the kernel never reads either.
 func NewSlimCache(a *optimizer.Analysis) *Cache {
 	c := NewCache(a)
 	c.slim = true
@@ -249,6 +262,7 @@ func (c *Cache) AddPath(p *optimizer.Path) bool {
 			// a programming error, not a recoverable input.
 			panic(err)
 		}
+		c.useSlot(rel, pk)
 		c.leafPk = append(c.leafPk, pk)
 		c.leafCoef = append(c.leafCoef, req.Coef)
 	}
@@ -288,6 +302,9 @@ func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) (*Ca
 		}
 	}
 	cp := c.appendEntry(internal, nlj)
+	for rel, pk := range packed {
+		c.useSlot(rel, pk)
+	}
 	c.leafPk = append(c.leafPk, packed...)
 	c.leafCoef = append(c.leafCoef, coefs...)
 	c.Stats.PlansSeen++
@@ -297,8 +314,8 @@ func (c *Cache) AddSlim(internal float64, packed []uint16, coefs []float64) (*Ca
 
 // Seal marks construction finished: the signature dedup map is dropped so
 // its strings can be collected. Builders call it once every AddPath is
-// done; a sealed cache still serves Cost, BaseLeafCosts and the leaf memo
-// normally, but further AddPath calls would no longer deduplicate.
+// done; a sealed cache still serves Cost and the kernel normally, but
+// further AddPath calls would no longer deduplicate.
 func (c *Cache) Seal() {
 	c.sigs = nil
 }
@@ -321,105 +338,136 @@ func (c *Cache) MemStats() MemStats {
 	return m
 }
 
-// Cost estimates the query's optimal cost under the configuration using
-// only cached information — the operation that replaces an optimizer call.
-// It returns the winning plan. An error is returned only when no cached
-// plan is applicable (an empty cache). Costs are identical to evaluating
-// Analysis.AccessCost directly; leaf costs are served from the memo.
+// slot is the kernel table index of packed leaf pk on relation rel.
 //
 //pinum:hotpath
-func (c *Cache) Cost(cfg *query.Config) (float64, *CachedPlan, error) {
+func (c *Cache) slot(rel int, pk uint16) int {
+	r := &c.rels[rel]
+	return r.off + optimizer.PackedSlot(pk, r.orders)
+}
+
+// useSlot records that an entry references packed leaf pk on relation
+// rel, pricing its empty-configuration base the first time.
+func (c *Cache) useSlot(rel int, pk uint16) {
+	s := c.slot(rel, pk)
+	if !math.IsNaN(c.base[s]) {
+		return
+	}
+	c.rels[rel].used = append(c.rels[rel].used, pk)
+	base, ok := c.A.AccessCost(rel, c.A.UnpackLeaf(rel, pk, 1), nil)
+	if !ok {
+		base = math.Inf(1)
+	}
+	c.base[s] = base
+}
+
+// StackSlots is the kernel table size callers keep on the stack; caches
+// with more slots price through a heap table instead (see Table).
+const StackSlots = 512
+
+// Table returns a kernel table for this cache: buf resliced when it is
+// long enough (a caller's stack array, so pricing allocates nothing),
+// otherwise a fresh heap table. Its contents are unspecified until
+// Resolve.
+func (c *Cache) Table(buf []float64) []float64 {
+	if c.nSlots <= len(buf) {
+		return buf[:c.nSlots]
+	}
+	return make([]float64, c.nSlots)
+}
+
+// Resolve fills tbl (from Table) with the cost of every referenced leaf
+// slot under cfg: the empty-configuration base, lowered by each of cfg's
+// indexes in order. Each slot's value is exactly what
+// Analysis.AccessCost returns for the slot's leaf (+Inf where it reports
+// the leaf unsatisfiable), since it makes the same comparisons in the
+// same order.
+func (c *Cache) Resolve(tbl []float64, cfg *query.Config) {
+	copy(tbl, c.base)
+	if cfg == nil {
+		return
+	}
+	for _, ix := range cfg.Indexes {
+		c.Lower(tbl, ix)
+	}
+}
+
+// Lower folds one more index into a resolved table in place: every
+// referenced slot on ix's table takes ix's Analysis.IndexLeafCost when ix
+// applies and is strictly cheaper. Appending ix to the configuration tbl
+// was resolved for and resolving again yields the same table.
+func (c *Cache) Lower(tbl []float64, ix *catalog.Index) {
+	for rel := range c.rels {
+		if c.A.Rels[rel].Table.Name != ix.Table {
+			continue
+		}
+		for _, pk := range c.rels[rel].used {
+			s := c.slot(rel, pk)
+			if cost, ok := c.A.IndexLeafCost(rel, c.A.UnpackLeaf(rel, pk, 1), ix); ok && cost < tbl[s] {
+				tbl[s] = cost
+			}
+		}
+	}
+}
+
+// Fold is the INUM fold over a resolved table: per plan, in cache order,
+// internal + Σ coef·tbl[slot] accumulated in relation order, skipping
+// plans with an unsatisfiable leaf; the strictly cheapest plan wins. It
+// returns (+Inf, nil) when no plan is applicable.
+//
+//pinum:hotpath
+func (c *Cache) Fold(tbl []float64) (float64, *CachedPlan) {
 	best := math.Inf(1)
 	var bestPlan *CachedPlan
-	n := len(c.Q.Rels)
-	for _, cp := range c.Plans {
+	n := len(c.rels)
+	for pi, cp := range c.Plans {
+		lo := pi * n
+		pks := c.leafPk[lo : lo+n]
+		coefs := c.leafCoef[lo : lo+n]
 		cost := cp.Internal
 		ok := true
-		for rel := 0; rel < n; rel++ {
-			req := cp.Leaf(rel)
-			a, applicable := c.accessCost(rel, req, cfg)
-			if !applicable {
+		for rel, pk := range pks {
+			a := tbl[c.slot(rel, pk)]
+			if math.IsInf(a, 1) {
 				ok = false
 				break
 			}
-			//pinum:costarith-ok the INUM fold itself (internal + Σ coef·access); costmatrix mirrors it bit-identically, pinned by costmatrix.TestEvaluateAndApplyMatchCacheCost
-			cost += req.Coef * a
+			//pinum:costarith-ok the one INUM fold (internal + Σ coef·access) Cost and costmatrix share; pinned by FuzzCacheCostEquivalence against Analysis.AccessCost
+			cost += coefs[rel] * a
 		}
 		if ok && cost < best {
 			best = cost
 			bestPlan = cp
 		}
 	}
+	return best, bestPlan
+}
+
+// LeafCost reads the plan's resolved access cost on one relation from a
+// table Resolve filled (+Inf when the table's configuration cannot
+// satisfy the leaf).
+func (cp *CachedPlan) LeafCost(tbl []float64, rel int) float64 {
+	i := int(cp.idx)*len(cp.c.rels) + rel
+	return tbl[cp.c.slot(rel, cp.c.leafPk[i])]
+}
+
+// Cost estimates the query's optimal cost under the configuration using
+// only cached information — the operation that replaces an optimizer call.
+// It returns the winning plan. An error is returned only when no cached
+// plan is applicable (an empty cache). Costs are identical to folding
+// Analysis.AccessCost per leaf: the configuration is resolved into a
+// stack table, then folded.
+//
+//pinum:allocfree pinned by TestCacheCostAllocFree
+func (c *Cache) Cost(cfg *query.Config) (float64, *CachedPlan, error) {
+	var buf [StackSlots]float64
+	tbl := c.Table(buf[:])
+	c.Resolve(tbl, cfg)
+	best, bestPlan := c.Fold(tbl)
 	if bestPlan == nil {
 		return 0, nil, fmt.Errorf("inum: no applicable cached plan for configuration %s", cfg)
 	}
 	return best, bestPlan, nil
-}
-
-// accessCost evaluates a leaf requirement through the optimizer's own
-// minimisation loop, with the cache as the (memoized) leaf coster.
-func (c *Cache) accessCost(rel int, req optimizer.LeafReq, cfg *query.Config) (float64, bool) {
-	return optimizer.LeafAccessCost(c, rel, req, cfg)
-}
-
-// IndexLeafCost implements optimizer.LeafCoster: Analysis.IndexLeafCost
-// memoized per (rel, mode, col, index). Inapplicable pairs are rejected up
-// front through the optimizer's own LeafApplicable rule — the same one
-// Analysis.IndexLeafCost applies — which keeps them out of the memo and
-// off the locked path without duplicating applicability logic here.
-func (c *Cache) IndexLeafCost(rel int, req optimizer.LeafReq, ix *catalog.Index) (float64, bool) {
-	if !optimizer.LeafApplicable(c.A.Rels[rel].Table.Name, req, ix) {
-		return 0, false
-	}
-	k := leafKey{rel: rel, mode: req.Mode, col: req.Col, ix: ix}
-	c.mu.RLock()
-	v, hit := c.leafMemo[k]
-	c.mu.RUnlock()
-	if hit {
-		return v.cost, v.ok
-	}
-	cost, ok := c.A.IndexLeafCost(rel, req, ix)
-	c.mu.Lock()
-	c.leafMemo[k] = leafVal{cost: cost, ok: ok}
-	c.mu.Unlock()
-	return cost, ok
-}
-
-// SeqScanCost implements optimizer.LeafCoster: Analysis.SeqScanCost
-// memoized per relation.
-func (c *Cache) SeqScanCost(rel int) float64 {
-	c.mu.RLock()
-	cost, hit := c.seqMemo[rel]
-	c.mu.RUnlock()
-	if hit {
-		return cost
-	}
-	cost = c.A.SeqScanCost(rel)
-	c.mu.Lock()
-	c.seqMemo[rel] = cost
-	c.mu.Unlock()
-	return cost
-}
-
-// BaseLeafCosts snapshots one cached plan's per-relation access costs under
-// the empty configuration: the (memoized) sequential-scan cost for
-// AccessAny leaves and +Inf for ordered/lookup leaves no index satisfies
-// yet. Incremental evaluators (internal/costmatrix) seed their per-plan
-// state from this snapshot and lower entries with IndexLeafCost as indexes
-// are chosen; because snapshot and refinement go through the same memoized
-// LeafCoster minimisation Cost itself uses, the resulting plan totals are
-// bit-identical to pricing the equivalent configuration from scratch.
-func (c *Cache) BaseLeafCosts(cp *CachedPlan) []float64 {
-	n := cp.NumRels()
-	out := make([]float64, n)
-	for rel := 0; rel < n; rel++ {
-		cost, ok := optimizer.BaseLeafCost(c, rel, cp.Leaf(rel))
-		if !ok {
-			cost = math.Inf(1)
-		}
-		out[rel] = cost
-	}
-	return out
 }
 
 // UniqueCombos returns the number of distinct order combinations among the

@@ -355,10 +355,12 @@ func TestCollectAccessCostsNaiveCallsPerIndex(t *testing.T) {
 	}
 }
 
-// TestBaseLeafCostsMatchEmptyConfig checks the incremental-engine snapshot
-// seam: per plan, BaseLeafCosts must report exactly what LeafAccessCost
-// yields under the empty configuration — the memoized sequential-scan cost
-// for AccessAny leaves, +Inf for leaves no index satisfies yet.
+// TestBaseLeafCostsMatchEmptyConfig checks the kernel's empty-
+// configuration table, the state incremental evaluators (costmatrix)
+// start from: per plan, the resolved leaf cost must be exactly what
+// Analysis.AccessCost yields under the empty configuration — the
+// sequential-scan cost for AccessAny leaves, +Inf for leaves no index
+// satisfies yet.
 func TestBaseLeafCostsMatchEmptyConfig(t *testing.T) {
 	s, a := setup(t, 4)
 	c, err := Build(a, whatif.NewSession(s.Catalog))
@@ -366,29 +368,28 @@ func TestBaseLeafCostsMatchEmptyConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := &query.Config{}
+	base := c.Table(nil)
+	c.Resolve(base, empty)
 	sawInf := false
 	for _, cp := range c.Plans {
-		base := c.BaseLeafCosts(cp)
-		if len(base) != cp.NumRels() {
-			t.Fatalf("plan %s: %d base costs for %d leaves", cp.Sig, len(base), cp.NumRels())
-		}
 		for rel := 0; rel < cp.NumRels(); rel++ {
 			req := cp.Leaf(rel)
-			want, ok := optimizer.LeafAccessCost(c, rel, req, empty)
+			got := cp.LeafCost(base, rel)
+			want, ok := a.AccessCost(rel, req, empty)
 			if !ok {
-				if !math.IsInf(base[rel], 1) {
-					t.Errorf("plan %s rel %d: unsatisfiable leaf snapshotted as %v", cp.Sig, rel, base[rel])
+				if !math.IsInf(got, 1) {
+					t.Errorf("plan %s rel %d: unsatisfiable leaf resolved as %v", cp.Sig, rel, got)
 				}
 				sawInf = true
 				continue
 			}
-			if math.Float64bits(base[rel]) != math.Float64bits(want) {
-				t.Errorf("plan %s rel %d: snapshot %v != LeafAccessCost %v", cp.Sig, rel, base[rel], want)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("plan %s rel %d: table %v != AccessCost %v", cp.Sig, rel, got, want)
 			}
 		}
 	}
 	if !sawInf {
-		t.Error("no ordered/lookup leaf exercised the +Inf snapshot path")
+		t.Error("no ordered/lookup leaf exercised the +Inf table path")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // costConsumerPkgs are the packages that evaluate or aggregate plan
 // costs but must not own cost formulas: every floating-point operation
 // on a cost must route through the optimizer package (Coster,
-// LeafCoster, LeafAccessCost, BaseLeafCost), because that is the code
-// the fast/reference equivalence suite pins. A second copy of even one
+// Analysis.AccessCost, AddWeighted, WorkloadCost), because that is the
+// code the fast/reference equivalence suite pins. A second copy of even one
 // addition elsewhere can drift — compiler-legal re-association is enough
 // to break bit-identity — and no equivalence test covers it.
 //
@@ -29,10 +29,10 @@ var costConsumerPkgs = []string{
 // CostArith flags floating-point arithmetic over cost-typed operands in
 // cost-consumer packages. "Cost-typed" is a naming contract: an operand
 // whose identifier or field name mentions cost, coef, internal or
-// weight. The two intentional mirrors of the INUM evaluation
-// (inum.Cache.Cost and costmatrix's fold), whose bit-identity IS
-// equivalence-tested, carry //pinum:costarith-ok directives pointing at
-// each other.
+// weight. The one INUM fold (inum.Cache.Fold, shared by Cache.Cost and
+// costmatrix), whose bit-identity against Analysis.AccessCost IS
+// equivalence-tested, carries a //pinum:costarith-ok directive naming
+// that test.
 var CostArith = &Analyzer{
 	Name:     "costarith",
 	Suppress: DirCostArithOK,

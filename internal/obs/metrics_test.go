@@ -187,6 +187,14 @@ func TestExpositionGolden(t *testing.T) {
 		L("tenant", "acme"), L("source", "rebuilt")).Observe(0.25)
 	r.Histogram("pinum_tenant_load_duration_seconds", loadHelp,
 		L("tenant", "acme"), L("source", "disk-snapshot")).Observe(0.003)
+	// Per-tenant counters, as the serving layer registers the advisor's
+	// work counters.
+	r.Counter("pinum_advisor_candidate_evals_total",
+		"Candidate evaluations performed by the tenant's /recommend searches.", L("tenant", "acme")).Add(84)
+	r.Counter("pinum_advisor_query_evals_total",
+		"Per-query delta evaluations the tenant's /recommend searches performed.", L("tenant", "acme")).Add(302)
+	r.Counter("pinum_advisor_query_skips_total",
+		"Per-query evaluations the tenant's /recommend searches skipped (candidate table not referenced).", L("tenant", "acme")).Add(538)
 	scrapes := 0
 	r.OnScrape(func() { scrapes++ })
 

@@ -356,8 +356,7 @@ func (a *Analysis) LookupCost(rel int, ix *catalog.Index, col string) float64 {
 // LeafApplicable reports whether an index can possibly satisfy a leaf
 // requirement on the given table: it must live on that table and, for
 // ordered and lookup accesses, cover the required column. This is the one
-// authoritative applicability rule — the memoized cache evaluator uses it
-// as its fast-path filter — so any future relaxation belongs here.
+// authoritative applicability rule, so any future relaxation belongs here.
 func LeafApplicable(table string, req LeafReq, ix *catalog.Index) bool {
 	if ix.Table != table {
 		return false
@@ -374,9 +373,10 @@ func LeafApplicable(table string, req LeafReq, ix *catalog.Index) bool {
 
 // IndexLeafCost costs satisfying one cached-plan leaf requirement through a
 // single index, or reports that the index cannot satisfy it (LeafApplicable).
-// It is the per-index unit AccessCost minimises over; callers that evaluate
-// many configurations can memoize it, since the result depends only on
-// (rel, req, ix).
+// It is the per-index unit AccessCost minimises over; the result depends
+// only on (rel, req, ix), never on the rest of the configuration, which is
+// what lets the INUM kernel (internal/inum) fold indexes into a resolved
+// leaf table one at a time.
 func (a *Analysis) IndexLeafCost(rel int, req LeafReq, ix *catalog.Index) (float64, bool) {
 	if !LeafApplicable(a.Rels[rel].Table.Name, req, ix) {
 		return 0, false
@@ -391,41 +391,22 @@ func (a *Analysis) IndexLeafCost(rel int, req LeafReq, ix *catalog.Index) (float
 	}
 }
 
-// LeafCoster supplies the two primitive leaf costs LeafAccessCost
-// minimises over. Analysis implements it directly; inum.Cache implements
-// it with a memo in front, which is how the cached cost model is
-// guaranteed to price plans exactly as the optimizer does.
-type LeafCoster interface {
-	IndexLeafCost(rel int, req LeafReq, ix *catalog.Index) (float64, bool)
-	SeqScanCost(rel int) float64
-}
-
-// BaseLeafCost evaluates a leaf requirement under the empty configuration:
-// the configuration-independent floor LeafAccessCost starts its
-// minimisation from. AccessAny leaves can always fall back to a sequential
-// scan; ordered and lookup leaves need an index, so their base is +Inf with
-// ok == false. Incremental evaluators (internal/costmatrix) seed their
-// per-relation state from this value and fold candidate indexes in through
-// IndexLeafCost one at a time, which keeps their arithmetic bit-identical
-// to LeafAccessCost's own loop.
-func BaseLeafCost(lc LeafCoster, rel int, req LeafReq) (float64, bool) {
+// AccessCost evaluates the access cost of one cached-plan leaf requirement
+// under an index configuration, considering exactly the access paths the
+// optimizer itself would consider: AccessAny leaves start from a
+// sequential scan, ordered and lookup leaves from nothing, and every
+// configuration index then lowers the cost through IndexLeafCost with a
+// strict <, in configuration order. It returns false when the
+// configuration cannot satisfy the requirement (no covering index for an
+// ordered or lookup access).
+func (a *Analysis) AccessCost(rel int, req LeafReq, cfg *query.Config) (float64, bool) {
+	best := math.Inf(1)
 	if req.Mode == AccessAny {
-		return lc.SeqScanCost(rel), true
+		best = a.SeqScanCost(rel)
 	}
-	return math.Inf(1), false
-}
-
-// LeafAccessCost evaluates the access cost of one cached-plan leaf
-// requirement under an arbitrary index configuration, considering exactly
-// the access paths the optimizer itself would consider. It returns false
-// when the configuration cannot satisfy the requirement (no covering index
-// for an ordered or lookup access). This is the single minimisation loop
-// both the live Analysis and the memoized cache evaluator go through.
-func LeafAccessCost(lc LeafCoster, rel int, req LeafReq, cfg *query.Config) (float64, bool) {
-	best, _ := BaseLeafCost(lc, rel, req)
 	if cfg != nil {
 		for _, ix := range cfg.Indexes {
-			if c, ok := lc.IndexLeafCost(rel, req, ix); ok && c < best {
+			if c, ok := a.IndexLeafCost(rel, req, ix); ok && c < best {
 				best = c
 			}
 		}
@@ -434,12 +415,6 @@ func LeafAccessCost(lc LeafCoster, rel int, req LeafReq, cfg *query.Config) (flo
 		return 0, false
 	}
 	return best, true
-}
-
-// AccessCost evaluates a leaf requirement under a configuration against
-// the live (unmemoized) cost model.
-func (a *Analysis) AccessCost(rel int, req LeafReq, cfg *query.Config) (float64, bool) {
-	return LeafAccessCost(a, rel, req, cfg)
 }
 
 // OrderedCols returns the relation's interesting orders coverable by the

@@ -178,3 +178,23 @@ func (c *Coster) SortedAggCost(rows, groups float64, nCols int) float64 {
 	}
 	return rows*c.P.CPUOperatorCost*float64(nCols)*0.5 + groups*c.P.CPUTupleCost
 }
+
+// AddWeighted accumulates one query into the workload objective
+// Σ wᵢ·cᵢ. Every weighted workload total in the tree is a left-to-right
+// fold of it from 0 in workload order — the advisor, the incremental cost
+// engine and the serving layer alike — so totals computed by different
+// layers agree bit for bit.
+func AddWeighted(total, weight, cost float64) float64 {
+	return total + weight*cost
+}
+
+// WorkloadCost is the workload objective Σ weights[i]·costs[i], folded
+// with AddWeighted in index order. weights must be at least as long as
+// costs.
+func WorkloadCost(weights, costs []float64) float64 {
+	total := 0.0
+	for i, c := range costs {
+		total = AddWeighted(total, weights[i], c)
+	}
+	return total
+}

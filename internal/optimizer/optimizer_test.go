@@ -245,10 +245,11 @@ func TestAccessCostAgreesWithScanPaths(t *testing.T) {
 	}
 }
 
-// TestBaseLeafCost checks the seam incremental evaluators seed from: the
-// empty-configuration floor is the sequential-scan cost for AccessAny
-// leaves and +Inf (not applicable) for ordered/lookup leaves, and
-// LeafAccessCost under the empty configuration agrees with it exactly.
+// TestBaseLeafCost checks the floor incremental evaluators (the INUM
+// kernel's empty-configuration table) start from: under the empty
+// configuration AccessCost is the sequential-scan cost for AccessAny
+// leaves and not applicable for ordered/lookup leaves, with or without a
+// Config wrapper.
 func TestBaseLeafCost(t *testing.T) {
 	q, _ := debugStarQuery(t)
 	a, err := NewAnalysis(q, nil, DefaultCostParams())
@@ -257,23 +258,23 @@ func TestBaseLeafCost(t *testing.T) {
 	}
 	empty := &query.Config{}
 	for rel := range a.Rels {
-		got, ok := BaseLeafCost(a, rel, LeafReq{Mode: AccessAny, Coef: 1})
+		got, ok := a.AccessCost(rel, LeafReq{Mode: AccessAny, Coef: 1}, nil)
 		if !ok {
 			t.Fatalf("rel %d: AccessAny base not applicable", rel)
 		}
 		if math.Float64bits(got) != math.Float64bits(a.SeqScanCost(rel)) {
 			t.Errorf("rel %d: base %v != seq scan %v", rel, got, a.SeqScanCost(rel))
 		}
-		full, ok := LeafAccessCost(a, rel, LeafReq{Mode: AccessAny, Coef: 1}, empty)
+		full, ok := a.AccessCost(rel, LeafReq{Mode: AccessAny, Coef: 1}, empty)
 		if !ok || math.Float64bits(full) != math.Float64bits(got) {
-			t.Errorf("rel %d: LeafAccessCost(empty) = (%v, %v), want (%v, true)", rel, full, ok, got)
+			t.Errorf("rel %d: AccessCost(empty) = (%v, %v), want (%v, true)", rel, full, ok, got)
 		}
 		for _, mode := range []AccessMode{AccessOrdered, AccessLookup} {
 			req := LeafReq{Mode: mode, Col: "id", Coef: 1}
-			if c, ok := BaseLeafCost(a, rel, req); ok || !math.IsInf(c, 1) {
-				t.Errorf("rel %d mode %v: base = (%v, %v), want (+Inf, false)", rel, mode, c, ok)
+			if c, ok := a.AccessCost(rel, req, nil); ok || c != 0 {
+				t.Errorf("rel %d mode %v: base = (%v, %v), want (0, false)", rel, mode, c, ok)
 			}
-			if _, ok := LeafAccessCost(a, rel, req, empty); ok {
+			if _, ok := a.AccessCost(rel, req, empty); ok {
 				t.Errorf("rel %d mode %v: satisfied by the empty configuration", rel, mode)
 			}
 		}

@@ -295,6 +295,22 @@ func (a *Analysis) CheckPackedLeaf(rel int, pk uint16) error {
 	return nil
 }
 
+// LeafSlots is the size of relation rel's dense packed-leaf space: one
+// AccessAny slot, then one ordered and one lookup slot per interned
+// interesting order. PackedSlot maps valid packed leaves onto it.
+func (a *Analysis) LeafSlots(rel int) int { return 1 + 2*len(a.Rels[rel].Interesting) }
+
+// PackedSlot maps a valid packed leaf on a relation with nOrders interned
+// orders to its dense slot in [0, 1+2·nOrders): AccessAny is slot 0,
+// ordered leaves take their order id, and lookups follow after the
+// ordered block. The INUM kernel (internal/inum) indexes its per-call
+// leaf-cost tables with it.
+//
+//pinum:hotpath
+func PackedSlot(pk uint16, nOrders int) int {
+	return int(pk&packedLeafIDMask) + int(pk>>(packedLeafModeShift+1))*nOrders
+}
+
 // PackedNLJ reports whether a packed leaf encodes a nested-loop lookup.
 func PackedNLJ(pk uint16) bool {
 	return AccessMode(pk>>packedLeafModeShift) == AccessLookup

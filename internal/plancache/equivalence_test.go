@@ -83,12 +83,15 @@ func planIndex(c *inum.Cache, cp *inum.CachedPlan) int {
 
 // assertCacheEquivalent prices both caches under the configurations and
 // requires exact cost bits, identical winning-plan positions, and
-// bit-equal BaseLeafCosts snapshots per plan.
+// bit-equal empty-configuration kernel leaf costs per plan.
 func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, cfgs []*query.Config) {
 	t.Helper()
 	if len(tree.Plans) != len(other.Plans) {
 		t.Fatalf("%s: %d tree plans vs %d", label, len(tree.Plans), len(other.Plans))
 	}
+	tBase, oBase := tree.Table(nil), other.Table(nil)
+	tree.Resolve(tBase, nil)
+	other.Resolve(oBase, nil)
 	for i := range tree.Plans {
 		tp, op := tree.Plans[i], other.Plans[i]
 		if math.Float64bits(tp.Internal) != math.Float64bits(op.Internal) {
@@ -103,10 +106,10 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 				t.Fatalf("%s plan %d leaf %d: %+v vs %+v", label, i, rel, tp.Leaf(rel), op.Leaf(rel))
 			}
 		}
-		tb, ob := tree.BaseLeafCosts(tp), other.BaseLeafCosts(op)
-		for rel := range tb {
-			if math.Float64bits(tb[rel]) != math.Float64bits(ob[rel]) {
-				t.Fatalf("%s plan %d: BaseLeafCosts[%d] bits differ: %v vs %v", label, i, rel, tb[rel], ob[rel])
+		for rel := 0; rel < tp.NumRels(); rel++ {
+			tb, ob := tp.LeafCost(tBase, rel), op.LeafCost(oBase, rel)
+			if math.Float64bits(tb) != math.Float64bits(ob) {
+				t.Fatalf("%s plan %d: base leaf cost %d bits differ: %v vs %v", label, i, rel, tb, ob)
 			}
 		}
 	}
@@ -131,7 +134,8 @@ func assertCacheEquivalent(t *testing.T, label string, tree, other *inum.Cache, 
 
 // TestSlimTreeCostEquivalence pins the tentpole guarantee on the star
 // workload plus self-joins: a slim build and a snapshot-roundtripped load
-// answer Cost and BaseLeafCosts bit-identically to the tree-backed cache.
+// answer Cost and the empty-configuration kernel table bit-identically to
+// the tree-backed cache.
 func TestSlimTreeCostEquivalence(t *testing.T) {
 	s, err := workload.StarSchema(1.0)
 	if err != nil {

@@ -116,6 +116,76 @@ func TestTraceOptIn(t *testing.T) {
 	}
 }
 
+// TestAdvisorCountersOnMetrics pins the advisor work counters: after two
+// /recommend requests, each per-tenant series is the sum of the engine
+// blocks the responses reported.
+func TestAdvisorCountersOnMetrics(t *testing.T) {
+	f := newFixture(t)
+	var sum EngineStats
+	for _, budget := range []float64{0.5, 2} {
+		var got RecommendResponse
+		f.post(t, "/recommend", RecommendRequest{BudgetGB: budget, MaxIndexes: 3}, &got)
+		if got.Engine.CandidateEvals == 0 {
+			t.Fatalf("budget %g: /recommend reported no candidate evaluations", budget)
+		}
+		sum.CandidateEvals += got.Engine.CandidateEvals
+		sum.QueryEvals += got.Engine.QueryEvals
+		sum.QuerySkips += got.Engine.QuerySkips
+	}
+	body := scrape(t, f.ts.URL)
+	for _, want := range []string{
+		fmt.Sprintf(`pinum_advisor_candidate_evals_total{tenant="default"} %d`, sum.CandidateEvals),
+		fmt.Sprintf(`pinum_advisor_query_evals_total{tenant="default"} %d`, sum.QueryEvals),
+		fmt.Sprintf(`pinum_advisor_query_skips_total{tenant="default"} %d`, sum.QuerySkips),
+	} {
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestWhatIfQuerySpansInsideFanout pins the per-query timing spans a
+// traced /whatif carries: exactly one query:<name> span per workload
+// query, each with a plausible duration and contained in the one fanout
+// span that times the whole evaluation.
+func TestWhatIfQuerySpansInsideFanout(t *testing.T) {
+	f := newFixture(t)
+	var got WhatIfResponse
+	f.post(t, "/whatif", WhatIfRequest{Trace: true, Indexes: []IndexSpec{{Table: "fact", Columns: []string{"fk_dim1_1"}}}}, &got)
+	if got.Trace == nil {
+		t.Fatal("traced request returned no trace block")
+	}
+	var fanout []obs.Span
+	perQuery := make(map[string][]obs.Span)
+	for _, sp := range got.Trace.Spans {
+		switch {
+		case sp.Name == "fanout":
+			fanout = append(fanout, sp)
+		case strings.HasPrefix(sp.Name, "query:"):
+			name := strings.TrimPrefix(sp.Name, "query:")
+			perQuery[name] = append(perQuery[name], sp)
+		}
+	}
+	if len(fanout) != 1 {
+		t.Fatalf("%d fanout spans, want 1", len(fanout))
+	}
+	fan := fanout[0]
+	if len(perQuery) != len(f.queries) {
+		t.Errorf("query spans name %d queries, want the %d workload queries", len(perQuery), len(f.queries))
+	}
+	for _, q := range f.queries {
+		spans := perQuery[q.Name]
+		if len(spans) != 1 {
+			t.Errorf("query %s: %d spans, want exactly 1", q.Name, len(spans))
+			continue
+		}
+		sp := spans[0]
+		if sp.DurNs < 0 || sp.StartNs < fan.StartNs || sp.StartNs+sp.DurNs > fan.StartNs+fan.DurNs {
+			t.Errorf("query %s span [%d,+%d] not inside fanout [%d,+%d]", q.Name, sp.StartNs, sp.DurNs, fan.StartNs, fan.DurNs)
+		}
+	}
+}
+
 // TestTraceHeader pins the out-of-band opt-in: an X-Pinum-Trace header
 // traces the request under the caller's ID without any body change.
 func TestTraceHeader(t *testing.T) {

@@ -104,9 +104,9 @@ type snapshotSet struct {
 	reused  int
 	rebuilt int
 
-	// ixMu guards the set's what-if index interner. The interner is
-	// per-set so a descriptor resolved on this set stays pointer-stable
-	// against its caches' leaf memos for the set's whole lifetime.
+	// ixMu guards the set's what-if index interner, which dedupes
+	// requested index specs into one descriptor each for the set's
+	// lifetime and dies with the set.
 	ixMu sync.Mutex
 	ws   *whatif.Session
 }
@@ -154,17 +154,16 @@ func newSnapshotSet(env *Environment, caches []*inum.Cache, source string, fps p
 			return nil, fmt.Errorf("serve: base cost for %s: %w", env.Queries[i].Name, err)
 		}
 		set.base[i] = cost
-		//pinum:costarith-ok workload objective Σ wᵢ·cᵢ mirroring advisor.workloadCost; pinned by TestWhatIfMatchesInProcess
-		set.baseTotal += set.weights[i] * cost
 	}
+	set.baseTotal = optimizer.WorkloadCost(set.weights, set.base)
 	return set, nil
 }
 
 // candidates returns the set's advisor candidate set, generating it on
 // the first call through a throwaway advisor so /recommend requests share
-// descriptors (and the caches' leaf memo stays bounded by the candidate
-// count, not the request count). Concurrent first callers wait for the
-// one generation and all see its result.
+// one set of descriptors instead of regenerating it per request.
+// Concurrent first callers wait for the one generation and all see its
+// result.
 func (set *snapshotSet) candidates() *candidateSet {
 	set.candOnce.Do(func() {
 		// No error to inject here: the point counts generations, and in
@@ -200,17 +199,16 @@ func normalizeWeights(weights []float64, n int) []float64 {
 	return out
 }
 
-// maxInternedIndexes caps each set's interner (and therefore the leaf
-// memos keyed by its descriptors): a client enumerating the factorially
-// many valid column permutations must hit a wall, not the OOM killer.
+// maxInternedIndexes caps each set's interner: a client enumerating the
+// factorially many valid column permutations must hit a wall, not the
+// OOM killer.
 const maxInternedIndexes = 1 << 17
 
 // resolveConfig interns the requested index specs into a configuration.
-// The set's session deduplicates by (table, columns), so the descriptor a
-// repeated spec resolves to is pointer-stable across requests on this set
-// and the caches' leaf memo serves it without recomputation. At the
-// interner cap, previously-seen specs still resolve; new ones are
-// refused.
+// The set's session deduplicates by (table, columns), so a repeated spec
+// resolves to the descriptor it got the first time instead of growing
+// the session. At the interner cap, previously-seen specs still resolve;
+// new ones are refused.
 func (set *snapshotSet) resolveConfig(specs []IndexSpec) (*query.Config, error) {
 	cfg := &query.Config{}
 	set.ixMu.Lock()

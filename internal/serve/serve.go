@@ -10,17 +10,17 @@
 // for its whole lifetime; a concurrent reload builds a complete new set in
 // the background and publishes it with a single pointer store, so
 // in-flight requests keep their consistent world and new requests see the
-// new one (never a mix). inum.Cache.Cost and the leaf-cost memo behind it
-// are safe for concurrent use, so /whatif requests evaluate the shared
-// caches directly, fanning per-query evaluations over a core.FanCtx
-// worker pool bounded by the request's deadline. Everything a request
-// does mutate is request-local: /recommend builds a fresh Advisor and
-// incremental cost engine per request, /explain runs a fresh optimizer
-// call. The one mutable structure inside a set is the what-if index
-// interner — a mutex-guarded session that resolves each requested
-// (table, columns) spec to a stable descriptor, capped so a client
-// enumerating index permutations hits a 503 wall instead of the OOM
-// killer.
+// new one (never a mix). A built inum.Cache is immutable and Cost keeps
+// its per-configuration leaf table on the caller's stack, so /whatif
+// requests price the shared caches directly on the request goroutine,
+// query by query, checking the request's deadline between queries.
+// Everything a request does mutate is request-local: /recommend builds a
+// fresh Advisor and incremental cost engine per request, /explain runs a
+// fresh optimizer call. The one mutable structure inside a set is the
+// what-if index interner — a mutex-guarded session that resolves each
+// requested (table, columns) spec to a stable descriptor, capped so a
+// client enumerating index permutations hits a 503 wall instead of the
+// OOM killer.
 //
 // Multi-tenancy: one process fronts N workloads (Config.Tenants), each an
 // independent tenant — its own snapshot set, reload/retry state machine
@@ -59,7 +59,6 @@ import (
 
 	"github.com/pinumdb/pinum/internal/advisor"
 	"github.com/pinumdb/pinum/internal/catalog"
-	"github.com/pinumdb/pinum/internal/core"
 	"github.com/pinumdb/pinum/internal/inum"
 	"github.com/pinumdb/pinum/internal/obs"
 	"github.com/pinumdb/pinum/internal/optimizer"
@@ -121,8 +120,9 @@ type Config struct {
 	Caches   []*inum.Cache
 	// Weights are the workload frequency weights (nil = all 1).
 	Weights []float64
-	// Workers bounds the per-request evaluation pool, each /recommend
-	// run's greedy parallelism, and rebuild parallelism (0 = GOMAXPROCS).
+	// Workers bounds each /recommend run's greedy parallelism and
+	// rebuild parallelism (0 = GOMAXPROCS). /whatif evaluates on the
+	// request goroutine and ignores it.
 	Workers int
 
 	// Loader re-derives the serving environment for hot reloads; nil
@@ -678,10 +678,11 @@ type WhatIfResponse struct {
 }
 
 // WhatIf prices the workload under the given configuration on the
-// tenant the request names (default tenant when empty): per-query cache
-// lookups fan over the worker pool, and the weighted total is summed in
-// workload order — the same arithmetic, in the same order, as the
-// in-process advisor's workload costing, so results agree bit for bit.
+// tenant the request names (default tenant when empty): the request
+// goroutine prices each query through its cache in workload order and
+// folds the weighted total with optimizer.AddWeighted — the same
+// arithmetic, in the same order, as the in-process advisor's workload
+// costing, so results agree bit for bit.
 func (s *Server) WhatIf(req *WhatIfRequest) (*WhatIfResponse, error) {
 	t, err := s.tenantByName(req.Tenant)
 	if err != nil {
@@ -704,43 +705,37 @@ func (s *Server) whatIfOn(ctx context.Context, set *snapshotSet, req *WhatIfRequ
 		return nil, err
 	}
 	n := len(set.caches)
-	costs := make([]float64, n)
-	errs := make([]error, n)
+	resp := &WhatIfResponse{Queries: make([]QueryCost, n)}
 	tr := obs.TraceFrom(ctx)
-	var observe func(int, time.Time, time.Duration)
-	if tr != nil {
-		observe = func(i int, qs time.Time, d time.Duration) {
-			tr.Add("query:"+set.env.Queries[i].Name, qs, d)
-		}
-	}
 	ft := time.Now()
-	fanErr := core.FanCtxObserved(ctx, n, s.cfg.Workers, func() func(int) {
-		return func(i int) {
-			costs[i], _, errs[i] = set.caches[i].Cost(cfg)
+	for i, c := range set.caches {
+		// Checked before every query, so an expired deadline or a gone
+		// client stops the request at the next query boundary.
+		if err := ctx.Err(); err != nil {
+			tr.Add("fanout", ft, time.Since(ft))
+			return nil, fmt.Errorf("request abandoned: %w", err)
 		}
-	}, observe)
-	tr.Add("fanout", ft, time.Since(ft))
-	if fanErr != nil {
-		return nil, fmt.Errorf("request abandoned: %w", fanErr)
+		var qs time.Time
+		if tr != nil {
+			qs = time.Now()
+		}
+		cost, _, err := c.Cost(cfg)
+		if tr != nil {
+			tr.Add("query:"+set.env.Queries[i].Name, qs, time.Since(qs))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pricing %s: %w", set.env.Queries[i].Name, err)
+		}
+		resp.Queries[i] = QueryCost{Name: set.env.Queries[i].Name, Base: set.base[i], Cost: cost}
+		resp.Total = optimizer.AddWeighted(resp.Total, weights[i], cost)
 	}
-	resp := &WhatIfResponse{BaseTotal: set.baseTotal, Queries: make([]QueryCost, n)}
+	tr.Add("fanout", ft, time.Since(ft))
+	resp.BaseTotal = set.baseTotal
 	if overridden {
 		// The precomputed base total carries the set's weights; overridden
-		// requests re-sum it below, in the identical order, so the
-		// no-override path stays byte-for-byte what it always was.
-		resp.BaseTotal = 0
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("pricing %s: %w", set.env.Queries[i].Name, errs[i])
-		}
-		resp.Queries[i] = QueryCost{Name: set.env.Queries[i].Name, Base: set.base[i], Cost: costs[i]}
-		//pinum:costarith-ok workload objective Σ wᵢ·cᵢ mirroring advisor.workloadCost; pinned by TestWhatIfMatchesInProcess
-		resp.Total += weights[i] * costs[i]
-		if overridden {
-			//pinum:costarith-ok same objective over the request's override weights; pinned by TestWeightOverrides
-			resp.BaseTotal += weights[i] * set.base[i]
-		}
+		// requests re-sum it in the identical order, so the no-override
+		// path stays byte-for-byte what it always was.
+		resp.BaseTotal = optimizer.WorkloadCost(weights, set.base)
 	}
 	if resp.BaseTotal > 0 {
 		resp.Speedup = math.Max(0, 1-resp.Total/resp.BaseTotal)
@@ -842,10 +837,10 @@ func (s *Server) Recommend(req *RecommendRequest) (*RecommendResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.recommendOn(context.Background(), set, req)
+	return s.recommendOn(context.Background(), t, set, req)
 }
 
-func (s *Server) recommendOn(ctx context.Context, set *snapshotSet, req *RecommendRequest) (*RecommendResponse, error) {
+func (s *Server) recommendOn(ctx context.Context, t *tenant, set *snapshotSet, req *RecommendRequest) (*RecommendResponse, error) {
 	if req.BudgetGB <= 0 {
 		return nil, badRequest("budget_gb must be positive, got %g", req.BudgetGB)
 	}
@@ -873,6 +868,9 @@ func (s *Server) recommendOn(ctx context.Context, set *snapshotSet, req *Recomme
 	if err != nil {
 		return nil, err
 	}
+	t.advisorCandidateEvals.Add(res.Engine.CandidateEvals)
+	t.advisorQueryEvals.Add(res.Engine.QueryEvals)
+	t.advisorQuerySkips.Add(res.Engine.QuerySkips)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("request abandoned: %w", err)
 	}
@@ -916,7 +914,7 @@ func (s *Server) handleRecommend(r *http.Request) (any, error) {
 	r, tr := s.ensureTrace(r, req.Trace, t0)
 	tr.Add("decode", t0, time.Since(t0))
 	resp, err := s.computeOn(r, req.Tenant, func(t *tenant, set *snapshotSet) (any, error) {
-		return s.recommendOn(r.Context(), set, &req)
+		return s.recommendOn(r.Context(), t, set, &req)
 	})
 	if err != nil {
 		return nil, err

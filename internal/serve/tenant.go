@@ -16,8 +16,7 @@ package serve
 // resident tenant is evicted to restore the cap. Eviction is one atomic
 // nil store: in-flight requests keep the immutable set they already
 // loaded, so nothing ever blocks on the hot path; the set (and its
-// interner and leaf memos) becomes garbage once the last request drops
-// it.
+// interner) becomes garbage once the last request drops it.
 //
 // Isolation: each tenant has its own max-in-flight admission semaphore,
 // so one tenant's /recommend storm 429s against its own cap while every
@@ -111,6 +110,10 @@ type tenant struct {
 	rejected       *obs.Counter
 	requests       *obs.Counter
 	errors         *obs.Counter
+	// Advisor work counters, fed from each /recommend's costmatrix.Stats.
+	advisorCandidateEvals *obs.Counter
+	advisorQueryEvals     *obs.Counter
+	advisorQuerySkips     *obs.Counter
 	// loadDuration times every cold load and completed reload, keyed by
 	// the new set's source (disk-snapshot, incremental, rebuilt).
 	loadDuration  map[string]*obs.Histogram
@@ -143,6 +146,12 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 		"Cold snapshot loads (first touch, or after eviction).", tl)
 	t.evictions = s.reg.Counter("pinum_tenant_evictions_total",
 		"LRU residency evictions.", tl)
+	t.advisorCandidateEvals = s.reg.Counter("pinum_advisor_candidate_evals_total",
+		"Candidate evaluations performed by the tenant's /recommend searches.", tl)
+	t.advisorQueryEvals = s.reg.Counter("pinum_advisor_query_evals_total",
+		"Per-query delta evaluations the tenant's /recommend searches performed.", tl)
+	t.advisorQuerySkips = s.reg.Counter("pinum_advisor_query_skips_total",
+		"Per-query evaluations the tenant's /recommend searches skipped (candidate table not referenced).", tl)
 	const reloadHelp = "Reload outcomes, by result (completed, skipped, failed)."
 	t.reloadsOK = s.reg.Counter("pinum_tenant_reloads_total", reloadHelp, tl, obs.L("result", "completed"))
 	t.reloadsSkipped = s.reg.Counter("pinum_tenant_reloads_total", reloadHelp, tl, obs.L("result", "skipped"))
