@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race shuffle fuzz bench lint static fmt vet check
+.PHONY: build test race shuffle fuzz bench lint static fmt vet e2e-unit check
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,7 @@ shuffle:
 fuzz:
 	$(GO) test ./internal/optimizer -run=NONE -fuzz=FuzzOptimizeEquivalence -fuzztime=10s
 	$(GO) test ./internal/inum -run=NONE -fuzz=FuzzCacheCostEquivalence -fuzztime=10s
+	$(GO) test ./internal/sql -run=NONE -fuzz=FuzzParseBind -fuzztime=10s
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
@@ -46,4 +47,8 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet build lint test race shuffle
+# e2ebench is a separate module (its own go.mod), outside the root ./...
+e2e-unit:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
+check: fmt vet build lint test race shuffle e2e-unit

@@ -168,8 +168,9 @@ func main() {
 		}()
 	}
 
-	loader := func() (*serve.Environment, error) {
-		return loadEnvironment(*scale, *seed, *statsOverrides)
+	loader, err := newLoader(*scale, *seed, *statsOverrides)
+	if err != nil {
+		fatal(err)
 	}
 
 	if *verifyWhatIf != "" || *verifyRecommend != "" {
@@ -335,7 +336,8 @@ type tenantSpec struct {
 }
 
 // loadTenantConfigs parses the roster and binds each entry to a loader
-// closure and (when -snapshot-dir is set) its store snapshot path.
+// (its workload generated here, once) and, when -snapshot-dir is set, its
+// store snapshot path.
 func loadTenantConfigs(path, snapshotDir string, defSeed int64, defScale float64) ([]serve.TenantConfig, error) {
 	var roster struct {
 		Tenants []tenantSpec `json:"tenants"`
@@ -369,11 +371,13 @@ func loadTenantConfigs(path, snapshotDir string, defSeed int64, defScale float64
 				return nil, fmt.Errorf("tenant roster %s: %w", path, err)
 			}
 		}
+		loader, err := newLoader(scale, seed, overrides)
+		if err != nil {
+			return nil, fmt.Errorf("tenant %s: %w", ts.Name, err)
+		}
 		cfgs = append(cfgs, serve.TenantConfig{
-			Name: ts.Name,
-			Loader: func() (*serve.Environment, error) {
-				return loadEnvironment(scale, seed, overrides)
-			},
+			Name:         ts.Name,
+			Loader:       loader,
 			SnapshotPath: snapPath,
 			MaxInFlight:  ts.MaxInFlight,
 		})
@@ -381,12 +385,32 @@ func loadTenantConfigs(path, snapshotDir string, defSeed int64, defScale float64
 	return cfgs, nil
 }
 
-// loadEnvironment derives one consistent serving world from scratch: a
-// fresh star schema at the given scale, the overrides file applied on
-// top, and the analysed seed workload. Building everything anew on every
-// call is what makes hot reloads safe — the environment a reload is
-// assembling shares nothing mutable with the one traffic is reading.
-func loadEnvironment(scale float64, seed int64, overridesPath string) (*serve.Environment, error) {
+// newLoader generates and parses the seeded workload once and returns
+// the loader that binds it into each (re)load's fresh environment.
+func newLoader(scale float64, seed int64, overridesPath string) (func() (*serve.Environment, error), error) {
+	star, err := workload.StarSchema(scale)
+	if err != nil {
+		return nil, err
+	}
+	wl, err := star.Workload(seed)
+	if err != nil {
+		return nil, err
+	}
+	return func() (*serve.Environment, error) {
+		return loadEnvironment(scale, wl, overridesPath)
+	}, nil
+}
+
+// loadEnvironment derives one consistent serving world: a fresh star
+// schema at the given scale, the overrides file re-read and applied on
+// top, and wl bound against that catalog and analysed. Everything a
+// reload can see drift in is built anew on every call, which is what
+// makes hot reloads safe: the environment a reload is assembling shares
+// nothing mutable with the one traffic is reading. Only wl's parsed
+// statements are shared across loads, and they are exact for every
+// load: generation reads only table, column and foreign-key names, which
+// neither scale nor overrides change, and binding only reads them.
+func loadEnvironment(scale float64, wl *workload.Workload, overridesPath string) (*serve.Environment, error) {
 	star, err := workload.StarSchema(scale)
 	if err != nil {
 		return nil, err
@@ -406,7 +430,7 @@ func loadEnvironment(scale float64, seed int64, overridesPath string) (*serve.En
 			}
 		}
 	}
-	queries, err := star.Queries(seed)
+	queries, err := wl.Bind(star.Catalog)
 	if err != nil {
 		return nil, err
 	}

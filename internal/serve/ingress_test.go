@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -213,5 +214,45 @@ func TestWeightOverrides(t *testing.T) {
 		[]byte(fmt.Sprintf(`{"budget_gb":5,"weights":[{"name":%q,"weight":2},{"name":%q,"weight":2}]}`, q0, q0)))
 	if code != http.StatusBadRequest || !bytes.Contains(raw, []byte("duplicate query")) {
 		t.Fatalf("/recommend duplicate weights: %d %s, want 400", code, raw)
+	}
+}
+
+// TestHugeWeightOverrideRejected pins the overflow guard: a positive,
+// finite weight large enough to push the weighted base total to +Inf is
+// a 400 naming the weights on both endpoints, never a 200 whose body
+// cannot be encoded.
+func TestHugeWeightOverrideRejected(t *testing.T) {
+	f := newFixture(t)
+	weights := fmt.Sprintf(`[{"name":%q,"weight":1e308}]`, f.queries[0].Name)
+	for path, body := range map[string]string{
+		"/whatif":    `{"indexes":[{"table":"fact","columns":["a1","m1"]}],"weights":` + weights + `}`,
+		"/recommend": `{"budget_gb":5,"weights":` + weights + `}`,
+	} {
+		code, resp := rawPost(t, f.ts.URL+path, []byte(body))
+		if code != http.StatusBadRequest || !bytes.Contains(resp, []byte("weights")) {
+			t.Errorf("%s: got %d %q, want 400 naming the weights", path, code, resp)
+		}
+	}
+}
+
+// TestUnencodableResponseIs500 pins instrument's rendering contract: a
+// handler result that fails to encode is a counted 500 with a JSON error
+// body, not an empty 200.
+func TestUnencodableResponseIs500(t *testing.T) {
+	f := newFixture(t)
+	h := f.srv.instrument("/unencodable", http.MethodPost, false, func(*http.Request) (any, error) {
+		return map[string]float64{"total": math.Inf(1)}, nil
+	})
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	code, body := rawPost(t, ts.URL, []byte(`{}`))
+	var e struct {
+		Error string `json:"error"`
+	}
+	if code != http.StatusInternalServerError || json.Unmarshal(body, &e) != nil || e.Error == "" {
+		t.Fatalf("got %d %q, want 500 with a JSON error", code, body)
+	}
+	if got := f.srv.epFor("/unencodable").errors.Value(); got != 1 {
+		t.Fatalf("error counter = %d, want 1", got)
 	}
 }

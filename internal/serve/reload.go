@@ -237,9 +237,13 @@ func (set *snapshotSet) resolveConfig(specs []IndexSpec) (*query.Config, error) 
 // the set's workload weights. Overrides are validated loudly: a name not
 // in the workload, a non-positive or non-finite weight, and — because
 // last-wins would silently misprice the workload — a duplicated query
-// name are each a 400 naming the offender. Without overrides the set's
-// shared slice is returned untouched, keeping the default-weight path
-// byte-identical to the pre-override server.
+// name are each a 400 naming the offender. So is an override set whose
+// weighted base total overflows: every configuration's cost is at most
+// the base cost (Resolve only lowers leaf entries, and the fold is
+// monotone in them), so a finite base total keeps every total the
+// request can produce finite and its response encodable. Without
+// overrides the set's shared slice is returned untouched, keeping the
+// default-weight path byte-identical to the pre-override server.
 func (set *snapshotSet) resolveWeights(overrides []WeightOverride) ([]float64, bool, error) {
 	if len(overrides) == 0 {
 		return set.weights, false, nil
@@ -260,6 +264,9 @@ func (set *snapshotSet) resolveWeights(overrides []WeightOverride) ([]float64, b
 			return nil, false, badRequest("weights: query %q needs a positive finite weight, got %v", o.Name, o.Weight)
 		}
 		out[i] = o.Weight
+	}
+	if total := optimizer.WorkloadCost(out, set.base); math.IsInf(total, 0) || math.IsNaN(total) {
+		return nil, false, badRequest("weights: the overridden workload's base cost overflows (%v); use smaller weights", total)
 	}
 	return out, true, nil
 }

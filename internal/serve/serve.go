@@ -41,7 +41,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -127,7 +126,12 @@ type Config struct {
 
 	// Loader re-derives the serving environment for hot reloads; nil
 	// means static mode over the fields above. Ignored when Tenants is
-	// set.
+	// set. Each call must return a catalog, statistics store, queries
+	// and analyses that no earlier call returned, because a reload
+	// assembles its set while traffic still reads the previous one. A
+	// loader may share immutable inputs across calls: pinum-serve's
+	// shares each workload's parsed SQL statements, which binding only
+	// reads.
 	Loader func() (*Environment, error)
 	// SnapshotPath, when set, is consulted on every (re)load — a disk
 	// snapshot matching the environment fingerprint is loaded instead of
@@ -483,6 +487,15 @@ func (s *Server) instrument(name, method string, compute bool, fn func(*http.Req
 			}
 			resp, err = s.contain(name, fn, r)
 		}
+		// The response is rendered before anything is written, so a body
+		// that fails to encode becomes a counted 500 instead of a
+		// committed 200 with an empty body.
+		var body []byte
+		if err == nil {
+			if body, err = EncodeJSON(resp); err != nil {
+				err = fmt.Errorf("encoding %s response: %w", name, err)
+			}
+		}
 		w.Header().Set("Content-Type", "application/json")
 		status := http.StatusOK
 		if err != nil {
@@ -497,9 +510,7 @@ func (s *Server) instrument(name, method string, compute bool, fn func(*http.Req
 			w.WriteHeader(status)
 			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 		} else {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(resp)
+			w.Write(body)
 		}
 		s.record(name, m, time.Since(start), status, tr)
 	}
@@ -1263,13 +1274,13 @@ func loadString(v *atomic.Value) string {
 // (two-space indent, trailing newline), so out-of-band recomputations can
 // be byte-compared against a served body.
 func EncodeJSON(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	// The same bytes as a json.Encoder with SetIndent("", "  "), in
+	// fewer allocations.
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return append(b, '\n'), nil
 }
 
 // decodeBody reads one JSON value — and nothing else — from a bounded

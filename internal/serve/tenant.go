@@ -50,7 +50,8 @@ type TenantConfig struct {
 	// Name routes requests and keys the tenant's snapshot in the store;
 	// it must satisfy plancache.ValidTenantName.
 	Name string
-	// Loader re-derives this tenant's environment on every (re)load.
+	// Loader re-derives this tenant's environment on every (re)load,
+	// under the same sharing rules as Config.Loader.
 	Loader func() (*Environment, error)
 	// SnapshotPath, when set, is this tenant's fingerprint-checked
 	// snapshot file: consulted before rebuilding on every load, rewritten

@@ -227,13 +227,35 @@ func (s *Star) edges() []joinEdge {
 // subset of tables along foreign keys (2 up to 7 tables), selects random
 // columns, filters with ≈1 % selectivity BETWEEN predicates, and orders by
 // a column; some queries also group. The generation is deterministic in the
-// seed.
+// seed. It is Workload(seed) bound against s.Catalog.
 func (s *Star) Queries(seed int64) ([]*query.Query, error) {
+	w, err := s.Workload(seed)
+	if err != nil {
+		return nil, err
+	}
+	return w.Bind(s.Catalog)
+}
+
+// Workload is a generated workload before binding: each query's name and
+// parsed statement (Stmts[i].Text is the generated SQL). It depends on no
+// catalog, so one Workload serves any number of catalogs, and it is
+// immutable once built: Bind only reads it, so concurrent loads may share
+// it.
+type Workload struct {
+	Names []string
+	Stmts []*sql.SelectStmt
+}
+
+// Workload generates and parses the seeded 10-query workload (see
+// Queries). Generation reads only table, column and foreign-key names,
+// which StarSchema fixes independent of scale and SetTableRows never
+// touches, so every star yields the same Workload for a seed.
+func (s *Star) Workload(seed int64) (*Workload, error) {
 	rng := rand.New(rand.NewSource(seed))
 	// Table counts per query, ascending so Q1 is the simplest and Q10 the
 	// widest join, as in the paper's figures.
 	sizes := []int{2, 2, 3, 3, 4, 4, 5, 5, 6, 7}
-	queries := make([]*query.Query, 0, len(sizes))
+	w := &Workload{Names: make([]string, 0, len(sizes)), Stmts: make([]*sql.SelectStmt, 0, len(sizes))}
 	for qi, n := range sizes {
 		name := fmt.Sprintf("Q%d", qi+1)
 		sqlText := s.generateSQL(rng, n, qi)
@@ -241,11 +263,23 @@ func (s *Star) Queries(seed int64) ([]*query.Query, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: %s: %v (sql: %s)", name, err, sqlText)
 		}
-		q, err := sql.Bind(stmt, s.Catalog, name)
+		w.Names = append(w.Names, name)
+		w.Stmts = append(w.Stmts, stmt)
+	}
+	return w, nil
+}
+
+// Bind binds every statement against cat into fresh queries, in workload
+// order. Nothing in the result aliases the Workload or another Bind's
+// result.
+func (w *Workload) Bind(cat *catalog.Catalog) ([]*query.Query, error) {
+	queries := make([]*query.Query, len(w.Stmts))
+	for i, stmt := range w.Stmts {
+		q, err := sql.Bind(stmt, cat, w.Names[i])
 		if err != nil {
-			return nil, fmt.Errorf("workload: %s: %v (sql: %s)", name, err, sqlText)
+			return nil, fmt.Errorf("workload: %s: %v (sql: %s)", w.Names[i], err, stmt.Text)
 		}
-		queries = append(queries, q)
+		queries[i] = q
 	}
 	return queries, nil
 }

@@ -3,10 +3,14 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/pinumdb/pinum/internal/optimizer"
+	"github.com/pinumdb/pinum/internal/query"
+	"github.com/pinumdb/pinum/internal/sql"
 	"github.com/pinumdb/pinum/internal/storage"
 	"github.com/pinumdb/pinum/internal/whatif"
 )
@@ -327,5 +331,127 @@ func TestCandidateIndexes(t *testing.T) {
 	}
 	if got := DescribeQueries(qs); !strings.Contains(got, "Q10") {
 		t.Error("DescribeQueries misses Q10")
+	}
+}
+
+// The serving daemon generates each tenant's Workload once and binds it
+// on every load, against catalogs of any scale and drift. That is exact
+// only if generation ignores everything a load may change.
+func TestWorkloadIndependentOfStatistics(t *testing.T) {
+	var stars []*Star
+	for _, scale := range []float64{0.25, 1, 4} {
+		s, err := StarSchema(scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stars = append(stars, s)
+	}
+	drifted, err := StarSchema(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := drifted.SetTableRows("dim2_7", 4242424); err != nil {
+		t.Fatal(err)
+	}
+	stars = append(stars, drifted)
+
+	for seed := int64(42); seed <= 49; seed++ {
+		var want []string
+		for si, s := range stars {
+			w, err := s.Workload(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var texts []string
+			for _, st := range w.Stmts {
+				texts = append(texts, st.Text)
+			}
+			if si == 0 {
+				want = texts
+				continue
+			}
+			if !reflect.DeepEqual(texts, want) {
+				t.Errorf("seed %d: star %d (scale %g) generates\n%q\nwant\n%q", seed, si, s.Scale, texts, want)
+			}
+		}
+	}
+}
+
+func TestQueriesIsWorkloadBound(t *testing.T) {
+	s, err := StarSchema(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(42); seed <= 49; seed++ {
+		got, err := s.Queries(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := s.Workload(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := w.Bind(s.Catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: Queries differs from Workload(seed).Bind(Catalog)", seed)
+		}
+	}
+}
+
+// One shared Workload bound concurrently against independent catalogs
+// gives each the same queries a private Parse + Bind would. Run under
+// -race: Bind must only read the shared statements.
+func TestWorkloadBindConcurrent(t *testing.T) {
+	s, err := StarSchema(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := s.Workload(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	stars := make([]*Star, n)
+	for i := range stars {
+		if stars[i], err = StarSchema(0.5 + float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([][]*query.Query, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range stars {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = w.Bind(stars[i].Catalog)
+		}(i)
+	}
+	wg.Wait()
+	for i, st := range stars {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for qi, stmt := range w.Stmts {
+			fresh, err := sql.Parse(stmt.Text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sql.Bind(fresh, st.Catalog, w.Names[qi])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i][qi], want) {
+				t.Errorf("catalog %d, %s: shared bind differs from a fresh Parse + Bind", i, w.Names[qi])
+			}
+			for _, rel := range got[i][qi].Rels {
+				if rel.Table != st.Catalog.Table(rel.Table.Name) {
+					t.Errorf("catalog %d, %s: bound to another catalog's %s", i, w.Names[qi], rel.Table.Name)
+				}
+			}
+		}
 	}
 }
