@@ -637,6 +637,74 @@ func BenchmarkServeWhatIf(b *testing.B) {
 	})
 }
 
+// recommendGrid is the /recommend parameter grid e2ebench's advise
+// workload cycles: every (budget, index cap) pair.
+func recommendGrid() []serve.RecommendRequest {
+	var grid []serve.RecommendRequest
+	for _, maxIndexes := range []int{0, 2, 3, 5} {
+		for _, budget := range []float64{0.5, 1, 2, 3, 5, 8} {
+			grid = append(grid, serve.RecommendRequest{BudgetGB: budget, MaxIndexes: maxIndexes})
+		}
+	}
+	return grid
+}
+
+// BenchmarkServeRecommend runs Server.Recommend over the 24-point budget ×
+// cap grid, one request per op, on a snapshot-loaded slim set whose
+// candidate lowering table one untimed request has already built: the
+// per-request greedy search /recommend serves, without HTTP.
+func BenchmarkServeRecommend(b *testing.B) {
+	e := env(b)
+	analyses := make([]*optimizer.Analysis, len(e.Queries))
+	for i, q := range e.Queries {
+		analyses[i] = analysis(b, e, q)
+	}
+	slims, err := core.BuildAllSlim(analyses, e.Star.Catalog, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := &plancache.Snapshot{}
+	for _, c := range slims {
+		snap.Queries = append(snap.Queries, plancache.FromCache(c))
+	}
+	var buf bytes.Buffer
+	if err := plancache.Encode(&buf, snap); err != nil {
+		b.Fatal(err)
+	}
+	dec, err := plancache.Decode(buf.Bytes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	caches := make([]*inum.Cache, len(dec.Queries))
+	for qi := range dec.Queries {
+		if caches[qi], err = plancache.ToCache(analyses[qi], dec.Queries[qi]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv, err := serve.New(serve.Config{
+		Catalog:  e.Star.Catalog,
+		Stats:    e.Star.Stats,
+		Queries:  e.Queries,
+		Analyses: analyses,
+		Caches:   caches,
+		Workers:  1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid := recommendGrid()
+	if _, err := srv.Recommend(&grid[0]); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.Recommend(&grid[i%len(grid)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTenantColdLoad measures one tenant's disk-snapshot cold load
 // through the serving layer's public API, the environment loader
 // included: two tenants share a residency cap of one, so every request

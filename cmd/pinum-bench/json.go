@@ -369,6 +369,38 @@ func runJSONBench(label string, seed int64) (string, error) {
 		})
 	})
 
+	// Server.Recommend over e2ebench's 24-point budget × cap grid, one
+	// request per op, on the same snapshot-loaded caches served by one
+	// worker; an untimed request builds the set's candidate lowering
+	// table first, so the row measures the per-request greedy search.
+	recSrv, err := serve.New(serve.Config{
+		Catalog:  env.Star.Catalog,
+		Stats:    env.Star.Stats,
+		Queries:  env.Queries,
+		Analyses: analyses,
+		Caches:   served,
+		Workers:  1,
+	})
+	if err != nil {
+		return "", err
+	}
+	var grid []serve.RecommendRequest
+	for _, maxIndexes := range []int{0, 2, 3, 5} {
+		for _, budget := range []float64{0.5, 1, 2, 3, 5, 8} {
+			grid = append(grid, serve.RecommendRequest{BudgetGB: budget, MaxIndexes: maxIndexes})
+		}
+	}
+	if _, err := recSrv.Recommend(&grid[0]); err != nil {
+		return "", err
+	}
+	measure(fmt.Sprintf("ServeRecommend/queries=%d", len(env.Queries)), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := recSrv.Recommend(&grid[i%len(grid)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
 	// A disk-snapshot cold load of one tenant through serve's public API,
 	// the environment loader included: two tenants behind a residency cap
 	// of one, so each request evicts the other and loads from its file.

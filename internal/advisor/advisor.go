@@ -8,22 +8,25 @@
 //
 // The greedy search runs on the incremental cost engine of
 // internal/costmatrix: each round prices chosen+candidate as a delta over
-// the shared per-(query, plan, relation) cost matrix instead of re-pricing
-// the whole workload, and a table→queries index skips queries the
-// candidate cannot affect. Results are bit-identical to the full
-// re-pricing search, which RunReference retains as the oracle.
+// per-query leaf-cost tables instead of re-pricing the whole workload, a
+// table→queries index skips queries the candidate cannot affect, and each
+// candidate's leaf prices come from a lowering table computed once per
+// run — or once per snapshot set, when the serving layer shares one
+// (UseLowerings). Results are bit-identical to the full re-pricing
+// search, which RunReference retains as the oracle.
 package advisor
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
 	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/core"
 	"github.com/pinumdb/pinum/internal/costmatrix"
+	"github.com/pinumdb/pinum/internal/faultpoint"
 	"github.com/pinumdb/pinum/internal/inum"
 	"github.com/pinumdb/pinum/internal/optimizer"
 	"github.com/pinumdb/pinum/internal/query"
@@ -97,6 +100,9 @@ type Advisor struct {
 	genErrs    []error
 	ws         *whatif.Session
 	calls      int
+	// lowerings is a shared candidate pricing table (UseLowerings); nil
+	// means Run builds one for its own run.
+	lowerings *costmatrix.Lowerings
 }
 
 // New returns an advisor over the catalog and statistics.
@@ -213,11 +219,7 @@ func (ad *Advisor) GenerateCandidates() int {
 	for _, qs := range ad.queries {
 		for i := range qs.A.Rels {
 			ri := &qs.A.Rels[i]
-			cols := make([]string, 0, len(ri.Needed))
-			for c := range ri.Needed {
-				cols = append(cols, c)
-			}
-			sort.Strings(cols)
+			cols := ri.NeededCols
 			for _, c := range cols {
 				add(ri.Table.Name, c)
 			}
@@ -264,6 +266,13 @@ func (ad *Advisor) Candidates() []*catalog.Index {
 func (ad *Advisor) AddCandidate(ix *catalog.Index) bool {
 	return ad.addCandidate(ix)
 }
+
+// UseLowerings hands Run a lowering table built once over this advisor's
+// caches and candidates (costmatrix.BuildLowerings), so a long-lived
+// server prices each (candidate, query) pair once per snapshot set rather
+// than once per request. Run checks that the table was built over exactly
+// the registered caches and candidates, in order, and fails otherwise.
+func (ad *Advisor) UseLowerings(low *costmatrix.Lowerings) { ad.lowerings = low }
 
 // addCandidate appends ix unless a candidate of the same name is already
 // registered — the one dedup gate both GenerateCandidates and AddCandidate
@@ -326,12 +335,14 @@ type pricer interface {
 	// baseline returns the workload cost and per-query costs (aligned with
 	// ad.queries) under no indexes.
 	baseline() (float64, []float64, error)
-	// evaluateRound prices chosen+remaining[i] for every i in eligible,
-	// fanning the evaluations over the advisor's worker pool, and returns
-	// one workload cost per eligible entry.
-	evaluateRound(chosen, remaining []*catalog.Index, eligible []int) ([]float64, error)
-	// commit applies the round's pick to any incremental state.
-	commit(pick *catalog.Index)
+	// evaluateRound prices chosen plus candidate ordinal remaining[i] for
+	// every i in eligible, fanning the evaluations over the advisor's
+	// worker pool, and returns one workload cost per eligible entry. It
+	// stops dispatching once ctx is done and then returns ctx's error.
+	evaluateRound(ctx context.Context, chosen []*catalog.Index, remaining, eligible []int) ([]float64, error)
+	// commit applies the round's pick (a candidate ordinal) to any
+	// incremental state.
+	commit(pick int)
 	// final returns the workload cost and per-query costs under chosen.
 	final(chosen []*catalog.Index) (float64, []float64, error)
 	// stats reports the engine work performed (all-zero for the reference).
@@ -351,7 +362,7 @@ func (p *referencePricer) final(chosen []*catalog.Index) (float64, []float64, er
 	return p.ad.workloadCostPer(chosen)
 }
 
-func (p *referencePricer) commit(*catalog.Index) {}
+func (p *referencePricer) commit(int) {}
 
 func (p *referencePricer) stats() costmatrix.Stats { return costmatrix.Stats{} }
 
@@ -359,18 +370,20 @@ func (p *referencePricer) stats() costmatrix.Stats { return costmatrix.Stats{} }
 // owns one configuration slice (a copy of the chosen prefix plus a final
 // slot it rewrites per candidate), so goroutines never share a backing
 // array — which relies on Cache.Cost not retaining the slice it is passed.
-func (p *referencePricer) evaluateRound(chosen, remaining []*catalog.Index, eligible []int) ([]float64, error) {
+func (p *referencePricer) evaluateRound(ctx context.Context, chosen []*catalog.Index, remaining, eligible []int) ([]float64, error) {
 	costs := make([]float64, len(eligible))
 	errs := make([]error, len(eligible))
-	core.Fan(len(eligible), p.ad.Parallelism, func() func(int) {
+	if err := core.FanCtx(ctx, len(eligible), p.ad.Parallelism, func() func(int) {
 		// Each worker reuses one config slice; only its last slot varies.
 		cfg := make([]*catalog.Index, len(chosen)+1)
 		copy(cfg, chosen)
 		return func(j int) {
-			cfg[len(chosen)] = remaining[eligible[j]]
+			cfg[len(chosen)] = p.ad.candidates[remaining[eligible[j]]]
 			costs[j], errs[j] = p.ad.workloadCost(cfg)
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -380,8 +393,9 @@ func (p *referencePricer) evaluateRound(chosen, remaining []*catalog.Index, elig
 }
 
 // enginePricer prices rounds through the incremental cost engine: each
-// candidate evaluation touches only the plans on the candidate's table,
-// and committed picks update the matrix in place.
+// candidate evaluation reads the candidate's precomputed lowering lists
+// and folds only the queries on its table whose slots it lowers, and
+// committed picks update the kept tables in place.
 type enginePricer struct {
 	ad  *Advisor
 	eng *costmatrix.Engine
@@ -395,17 +409,19 @@ func (p *enginePricer) final([]*catalog.Index) (float64, []float64, error) {
 	return p.eng.TotalCost(), p.eng.QueryCosts(), nil
 }
 
-func (p *enginePricer) commit(pick *catalog.Index) { p.eng.Apply(pick) }
+func (p *enginePricer) commit(pick int) { p.eng.Commit(pick) }
 
 func (p *enginePricer) stats() costmatrix.Stats { return p.eng.Stats() }
 
-func (p *enginePricer) evaluateRound(_, remaining []*catalog.Index, eligible []int) ([]float64, error) {
+func (p *enginePricer) evaluateRound(ctx context.Context, _ []*catalog.Index, remaining, eligible []int) ([]float64, error) {
 	costs := make([]float64, len(eligible))
-	core.Fan(len(eligible), p.ad.Parallelism, func() func(int) {
+	if err := core.FanCtx(ctx, len(eligible), p.ad.Parallelism, func() func(int) {
 		return func(j int) {
-			costs[j] = p.eng.EvaluateCandidate(remaining[eligible[j]])
+			costs[j] = p.eng.Evaluate(remaining[eligible[j]])
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	return costs, nil
 }
 
@@ -417,19 +433,42 @@ func (p *enginePricer) evaluateRound(_, remaining []*catalog.Index, eligible []i
 // advisor's worker pool (Parallelism); the result is bit-identical to the
 // serial search and to RunReference.
 func (ad *Advisor) Run() (*Result, error) {
+	return ad.RunContext(context.Background())
+}
+
+// RunContext is Run bounded by ctx: the search checks ctx before every
+// greedy round and stops dispatching a round's evaluations once ctx is
+// done, returning ctx's error instead of a result. Cancellation only
+// aborts a run; a run that completes is bit-identical to Run.
+//
+// Candidates are priced from a lowering table: the one UseLowerings
+// shared, or else one built for this run over the registered caches and
+// candidates.
+func (ad *Advisor) RunContext(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	if len(ad.queries) == 0 {
 		return nil, fmt.Errorf("advisor: no queries registered")
 	}
+	if len(ad.candidates) == 0 {
+		ad.GenerateCandidates()
+	}
 	specs := make([]costmatrix.Query, len(ad.queries))
+	caches := make([]*inum.Cache, len(ad.queries))
 	for i, qs := range ad.queries {
 		specs[i] = costmatrix.Query{Cache: qs.Cache, Weight: qs.Weight}
+		caches[i] = qs.Cache
 	}
-	eng, err := costmatrix.New(specs)
+	low := ad.lowerings
+	if low == nil {
+		low = costmatrix.BuildLowerings(caches, ad.candidates)
+	} else if !low.BuiltOver(caches, ad.candidates) {
+		return nil, fmt.Errorf("advisor: the shared lowering table was built over other caches or candidates")
+	}
+	eng, err := costmatrix.NewListed(specs, low)
 	if err != nil {
 		return nil, err
 	}
-	return ad.runGreedy(&enginePricer{ad: ad, eng: eng}, start)
+	return ad.runGreedy(ctx, &enginePricer{ad: ad, eng: eng}, start)
 }
 
 // RunReference executes the same greedy selection by re-pricing every
@@ -442,15 +481,15 @@ func (ad *Advisor) RunReference() (*Result, error) {
 	if len(ad.queries) == 0 {
 		return nil, fmt.Errorf("advisor: no queries registered")
 	}
-	return ad.runGreedy(&referencePricer{ad: ad}, start)
+	if len(ad.candidates) == 0 {
+		ad.GenerateCandidates()
+	}
+	return ad.runGreedy(context.Background(), &referencePricer{ad: ad}, start)
 }
 
 // runGreedy is the selection loop both pricers share: budget filtering,
 // the per-round fan-out, and the deterministic reduce.
-func (ad *Advisor) runGreedy(p pricer, start time.Time) (*Result, error) {
-	if len(ad.candidates) == 0 {
-		ad.GenerateCandidates()
-	}
+func (ad *Advisor) runGreedy(ctx context.Context, p pricer, start time.Time) (*Result, error) {
 	res := &Result{PerQuery: make(map[string][2]float64), CandidateCount: len(ad.candidates)}
 
 	baseTotal, basePer, err := p.baseline()
@@ -462,7 +501,12 @@ func (ad *Advisor) runGreedy(p pricer, start time.Time) (*Result, error) {
 		res.PerQuery[qs.Query.Name] = [2]float64{basePer[i], basePer[i]}
 	}
 
-	remaining := append([]*catalog.Index(nil), ad.candidates...)
+	// remaining holds the ordinals (positions in ad.candidates) of the
+	// candidates not yet picked, in candidate order.
+	remaining := make([]int, len(ad.candidates))
+	for i := range remaining {
+		remaining[i] = i
+	}
 	var chosen []*catalog.Index
 	var usedBytes int64
 	current := baseTotal
@@ -471,14 +515,20 @@ func (ad *Advisor) runGreedy(p pricer, start time.Time) (*Result, error) {
 		if ad.MaxIndexes > 0 && len(chosen) >= ad.MaxIndexes {
 			break
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// Never fails: counts rounds started, and in delay mode slows each
+		// one so cancellation tests can land a deadline mid-search.
+		_ = faultpoint.Hit("advisor.round")
 		// Candidates that still fit the budget this round.
 		eligible := make([]int, 0, len(remaining))
-		for i, cand := range remaining {
-			if usedBytes+storage.IndexBytes(cand) <= ad.BudgetBytes {
+		for i, c := range remaining {
+			if usedBytes+storage.IndexBytes(ad.candidates[c]) <= ad.BudgetBytes {
 				eligible = append(eligible, i)
 			}
 		}
-		costs, err := p.evaluateRound(chosen, remaining, eligible)
+		costs, err := p.evaluateRound(ctx, chosen, remaining, eligible)
 		if err != nil {
 			return nil, err
 		}
@@ -498,12 +548,12 @@ func (ad *Advisor) runGreedy(p pricer, start time.Time) (*Result, error) {
 		if bestIdx < 0 {
 			break
 		}
-		pick := remaining[bestIdx]
+		pick := ad.candidates[remaining[bestIdx]]
 		chosen = append(chosen, pick)
 		usedBytes += storage.IndexBytes(pick)
 		current = bestCost
+		p.commit(remaining[bestIdx])
 		remaining = append(remaining[:bestIdx:bestIdx], remaining[bestIdx+1:]...)
-		p.commit(pick)
 		res.Rounds++
 	}
 

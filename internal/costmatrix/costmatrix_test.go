@@ -249,8 +249,21 @@ func TestStatsCounting(t *testing.T) {
 	if st.CandidateEvals != 1 || st.QueryEvals != int64(len(caches)) || st.QuerySkips != 0 {
 		t.Errorf("fact candidate: %+v, want every query evaluated", st)
 	}
-	if st.PlanEvals == 0 {
-		t.Error("fact candidate evaluated zero plans")
+	// A query folds only when the candidate lowers one of its slots; the
+	// rest skip their fold, and PlanEvals counts the folded plans alone.
+	var wantPlans, wantSkips int64
+	for _, c := range caches {
+		tbl := c.Table(nil)
+		c.Resolve(tbl, nil)
+		if slots, prices := c.AppendLowering(nil, nil, onFact); inum.Lowers(tbl, slots, prices) {
+			wantPlans += int64(len(c.Plans))
+		} else {
+			wantSkips++
+		}
+	}
+	if st.PlanEvals != wantPlans || st.FoldSkips != wantSkips {
+		t.Errorf("fact candidate: %d plan evals and %d fold skips, want %d and %d",
+			st.PlanEvals, st.FoldSkips, wantPlans, wantSkips)
 	}
 
 	before := e.TotalCost()

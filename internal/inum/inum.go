@@ -397,15 +397,70 @@ func (c *Cache) Resolve(tbl []float64, cfg *query.Config) {
 // applies and is strictly cheaper. Appending ix to the configuration tbl
 // was resolved for and resolving again yields the same table.
 func (c *Cache) Lower(tbl []float64, ix *catalog.Index) {
+	c.prices(ix, func(s int, price float64) {
+		if price < tbl[s] {
+			tbl[s] = price
+		}
+	})
+}
+
+// AppendLowering appends ix's lowering list for this cache to slots and
+// prices: one (slot, price) pair per referenced slot ix applies to, the
+// price being its Analysis.IndexLeafCost. The list depends only on the
+// analysis and ix, so a caller that prices the same index against many
+// tables (the advisor's greedy rounds) computes it once; applying it with
+// LowerFrom yields exactly the table Lower yields, because both visit the
+// same slots with the same prices.
+func (c *Cache) AppendLowering(slots []int32, prices []float64, ix *catalog.Index) ([]int32, []float64) {
+	c.prices(ix, func(s int, price float64) {
+		slots = append(slots, int32(s))
+		prices = append(prices, price)
+	})
+	return slots, prices
+}
+
+// prices is the one walk that decides which slots an index prices, shared
+// by Lower and AppendLowering: every referenced slot on a relation of ix's
+// table where ix applies, each visited once, in relation order and then
+// first-reference order, with ix's price for the slot's leaf.
+func (c *Cache) prices(ix *catalog.Index, visit func(slot int, price float64)) {
 	for rel := range c.rels {
 		if c.A.Rels[rel].Table.Name != ix.Table {
 			continue
 		}
 		for _, pk := range c.rels[rel].used {
-			s := c.slot(rel, pk)
-			if cost, ok := c.A.IndexLeafCost(rel, c.A.UnpackLeaf(rel, pk, 1), ix); ok && cost < tbl[s] {
-				tbl[s] = cost
+			if price, ok := c.A.IndexLeafCost(rel, c.A.UnpackLeaf(rel, pk, 1), ix); ok {
+				visit(c.slot(rel, pk), price)
 			}
+		}
+	}
+}
+
+// Lowers reports whether a lowering list would change a resolved table:
+// whether some listed price is strictly below its slot's value. When it
+// is false, LowerFrom leaves tbl bit-for-bit unchanged, so the table's
+// fold is unchanged too.
+//
+//pinum:hotpath
+func Lowers(tbl []float64, slots []int32, prices []float64) bool {
+	for k, s := range slots {
+		if prices[k] < tbl[s] {
+			return true
+		}
+	}
+	return false
+}
+
+// LowerFrom applies a lowering list (AppendLowering) to a resolved table
+// in place: each listed slot takes its price when that is strictly
+// cheaper. A list names each slot at most once, so the result is the
+// table Lower computes for the list's index.
+//
+//pinum:hotpath
+func LowerFrom(tbl []float64, slots []int32, prices []float64) {
+	for k, s := range slots {
+		if prices[k] < tbl[s] {
+			tbl[s] = prices[k]
 		}
 	}
 }

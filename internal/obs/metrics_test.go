@@ -195,6 +195,13 @@ func TestExpositionGolden(t *testing.T) {
 		"Per-query delta evaluations the tenant's /recommend searches performed.", L("tenant", "acme")).Add(302)
 	r.Counter("pinum_advisor_query_skips_total",
 		"Per-query evaluations the tenant's /recommend searches skipped (candidate table not referenced).", L("tenant", "acme")).Add(538)
+	r.Counter("pinum_advisor_fold_skips_total",
+		"Per-query evaluations the tenant's /recommend searches answered without a fold (the candidate lowered no leaf cost).", L("tenant", "acme")).Add(171)
+	// A per-tenant gauge read at scrape time, as the serving layer
+	// registers the lowering-table footprint.
+	r.GaugeFunc("pinum_advisor_lowering_bytes",
+		"Bytes held by the live set's candidate lowering table (0 until its first /recommend).",
+		func() float64 { return 30876 }, L("tenant", "acme"))
 	scrapes := 0
 	r.OnScrape(func() { scrapes++ })
 

@@ -24,6 +24,15 @@ type RelInfo struct {
 	Rows float64
 	// Needed holds every column of this relation the query references.
 	Needed map[string]bool
+	// NeededCols lists Needed's columns, sorted: the form the index-only
+	// checks and candidate generation walk, so none of them ranges over
+	// the map.
+	NeededCols []string
+	// Pages and TuplesPerPage are the table's heap size
+	// (storage.TablePages) and its tuples per heap page, fixed for the
+	// analysis's lifetime like Rows, so index and sequential scan costing
+	// never re-derive them from the column widths.
+	Pages, TuplesPerPage int64
 	// FilterSel maps a column to the combined selectivity of the filters
 	// on that column (used for index range scans on that column).
 	FilterSel map[string]float64
@@ -116,10 +125,13 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 			Rel:         i,
 			Table:       r.Table,
 			Needed:      needed[i],
+			NeededCols:  sortedColumns(needed[i]),
 			FilterSel:   make(map[string]float64),
 			Interesting: ios[i],
 			Sel:         1,
+			Pages:       storage.TablePages(r.Table),
 		}
+		ri.TuplesPerPage = tuplesPerPage(r.Table.RowCount, ri.Pages)
 		for _, f := range q.Filters {
 			if f.Col.Rel != i {
 				continue
@@ -170,6 +182,16 @@ func NewAnalysis(q *query.Query, st *stats.Store, params CostParams) (*Analysis,
 	// the memo tables index by gid); RelSet bounds the relation count.
 	a.fastPlan = len(a.Rels) <= 64 && total < math.MaxUint16
 	return a, nil
+}
+
+// sortedColumns lists a column set's members in sorted order.
+func sortedColumns(set map[string]bool) []string {
+	cols := make([]string, 0, len(set))
+	for col := range set {
+		cols = append(cols, col)
+	}
+	sort.Strings(cols)
+	return cols
 }
 
 // colStats returns the statistics for a column, synthesising them from the
@@ -299,14 +321,7 @@ func (a *Analysis) IndexScanCost(rel int, ix *catalog.Index) indexScanFacts {
 		scanSel = s
 		leadFiltered = true
 	}
-	indexOnly := true
-	//pinum:nondeterministic-ok order-insensitive conjunction: indexOnly is the same whichever needed column misses first
-	for col := range ri.Needed {
-		if !ix.HasColumn(col) {
-			indexOnly = false
-			break
-		}
-	}
+	indexOnly := ri.coveredBy(ix)
 	nQuals := len(ri.Filters)
 	if leadFiltered {
 		nQuals-- // the lead-column filter is the index condition
@@ -314,14 +329,25 @@ func (a *Analysis) IndexScanCost(rel int, ix *catalog.Index) indexScanFacts {
 			nQuals = 0
 		}
 	}
-	cost := a.Coster.IndexScanCost(t, ix, scanSel, indexOnly, nQuals)
+	cost := a.Coster.indexScanCost(t.RowCount, ri.Pages, ri.TuplesPerPage, ix, scanSel, indexOnly, nQuals)
 	return indexScanFacts{Cost: cost, IndexOnly: indexOnly, LeadCol: ix.LeadColumn()}
 }
 
 // SeqScanCost costs a full scan of relation rel.
 func (a *Analysis) SeqScanCost(rel int) float64 {
 	ri := &a.Rels[rel]
-	return a.Coster.SeqScanCost(storage.TablePages(ri.Table), ri.Table.RowCount, len(ri.Filters))
+	return a.Coster.SeqScanCost(ri.Pages, ri.Table.RowCount, len(ri.Filters))
+}
+
+// coveredBy reports whether ix holds every column the query needs from
+// the relation, so an access through it never visits the heap.
+func (ri *RelInfo) coveredBy(ix *catalog.Index) bool {
+	for _, col := range ri.NeededCols {
+		if !ix.HasColumn(col) {
+			return false
+		}
+	}
+	return true
 }
 
 // LookupRows is the expected number of heap matches per equality probe on
@@ -340,15 +366,7 @@ func (a *Analysis) LookupRows(rel int, col string) float64 {
 func (a *Analysis) LookupCost(rel int, ix *catalog.Index, col string) float64 {
 	ri := &a.Rels[rel]
 	match := a.LookupRows(rel, col)
-	indexOnly := true
-	//pinum:nondeterministic-ok order-insensitive conjunction: indexOnly is the same whichever needed column misses first
-	for c := range ri.Needed {
-		if !ix.HasColumn(c) {
-			indexOnly = false
-			break
-		}
-	}
-	cost := a.Coster.LookupCost(ri.Table, ix, match, indexOnly)
+	cost := a.Coster.LookupCost(ri.Table, ix, match, ri.coveredBy(ix))
 	cost += match * float64(len(ri.Filters)) * a.Coster.P.CPUOperatorCost
 	return cost
 }

@@ -79,13 +79,29 @@ func heapPagesFetched(sel float64, rows, pages, tuplesPerPage int64) float64 {
 // table through index ix, then visiting the heap for each match.
 // indexOnly skips the heap visits (the index covers every needed column).
 func (c *Coster) IndexScanCost(t *catalog.Table, ix *catalog.Index, sel float64, indexOnly bool, nFilters int) float64 {
+	pages := storage.TablePages(t)
+	return c.indexScanCost(t.RowCount, pages, tuplesPerPage(t.RowCount, pages), ix, sel, indexOnly, nFilters)
+}
+
+// tuplesPerPage is the average number of a table's rows per heap page
+// (at least 1).
+func tuplesPerPage(rows, pages int64) int64 {
+	if pages > 0 {
+		return (rows + pages - 1) / pages
+	}
+	return 1
+}
+
+// indexScanCost is IndexScanCost over the table's row count, heap pages
+// and tuples per page, which an Analysis derives once per relation.
+func (c *Coster) indexScanCost(rowCount, pages, perPage int64, ix *catalog.Index, sel float64, indexOnly bool, nFilters int) float64 {
 	if sel < 0 {
 		sel = 0
 	}
 	if sel > 1 {
 		sel = 1
 	}
-	rows := float64(t.RowCount)
+	rows := float64(rowCount)
 	matched := rows * sel
 
 	// Descend the B-tree once, then read the qualifying fraction of the
@@ -99,12 +115,7 @@ func (c *Coster) IndexScanCost(t *catalog.Table, ix *catalog.Index, sel float64,
 
 	cost := descent + leaf + cpu
 	if !indexOnly {
-		pages := storage.TablePages(t)
-		perPage := int64(1)
-		if pages > 0 {
-			perPage = (t.RowCount + pages - 1) / pages
-		}
-		heap := heapPagesFetched(sel, t.RowCount, pages, perPage)
+		heap := heapPagesFetched(sel, rowCount, pages, perPage)
 		cost += heap * c.P.RandomPageCost
 		cost += matched * c.P.CPUTupleCost
 	}

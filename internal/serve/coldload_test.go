@@ -22,7 +22,7 @@ func TestColdLoadWalksOnceAndDefersCandidates(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	f := newMTFixture(t, mtSeeds, mtOrder, 1, nil)
 	// Arming the points (as no-op delays) turns on hit counting.
-	for _, point := range []string{"plancache.fingerprint", "serve.candidates"} {
+	for _, point := range []string{"plancache.fingerprint", "serve.candidates", "serve.lowerings"} {
 		if err := faultpoint.Set(point, "delay=0s"); err != nil {
 			t.Fatal(err)
 		}
@@ -37,6 +37,9 @@ func TestColdLoadWalksOnceAndDefersCandidates(t *testing.T) {
 		}
 		if got := faultpoint.Count("serve.candidates"); got != 0 {
 			t.Fatalf("after %s: candidate set generated %d times by /whatif-only traffic, want 0", what, got)
+		}
+		if got := faultpoint.Count("serve.lowerings"); got != 0 {
+			t.Fatalf("after %s: lowering table built %d times by /whatif-only traffic, want 0", what, got)
 		}
 	}
 
@@ -68,7 +71,14 @@ func TestColdLoadWalksOnceAndDefersCandidates(t *testing.T) {
 		t.Fatalf("load_duration{source=incremental} count = %d, want 1", got)
 	}
 
-	// The first /recommend pays for the candidates, exactly once.
+	// /healthz reads the candidate set but never builds the lowering
+	// table; the first /recommend pays for both, exactly once.
+	if code, body := f.do(t, http.MethodGet, "/healthz", "acme", nil); code != http.StatusOK {
+		t.Fatalf("/healthz: %d %s", code, body)
+	}
+	if got := faultpoint.Count("serve.lowerings"); got != 0 {
+		t.Fatalf("/healthz built the lowering table %d times, want 0", got)
+	}
 	for i := 0; i < 2; i++ {
 		if code, body := f.do(t, http.MethodPost, "/recommend", "acme", []byte(`{"budget_gb":5}`)); code != http.StatusOK {
 			t.Fatalf("/recommend: %d %s", code, body)
@@ -77,18 +87,24 @@ func TestColdLoadWalksOnceAndDefersCandidates(t *testing.T) {
 	if got := faultpoint.Count("serve.candidates"); got != 1 {
 		t.Fatalf("candidate set generated %d times by two /recommend requests, want 1", got)
 	}
+	if got := faultpoint.Count("serve.lowerings"); got != 1 {
+		t.Fatalf("lowering table built %d times by two /recommend requests, want 1", got)
+	}
 }
 
 // TestLazyCandidatesConcurrentFirstUse races the first readers of a
 // freshly published set's candidates — /recommend, /healthz and /statz at
-// once, with the generation slowed so they overlap inside it. The set is
-// generated exactly once, every /recommend body byte-matches the
-// in-process advisor reference, and /healthz reports the same candidate
-// and error counts an eager generation gives. Run it under -race.
+// once, with the generation and the lowering-table build slowed so they
+// overlap inside them. The set and its lowering table are each built
+// exactly once, every /recommend body byte-matches the in-process
+// advisor reference, and /healthz reports the same candidate and error
+// counts an eager generation gives. Run it under -race.
 func TestLazyCandidatesConcurrentFirstUse(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	if err := faultpoint.Set("serve.candidates", "delay=30ms"); err != nil {
-		t.Fatal(err)
+	for _, point := range []string{"serve.candidates", "serve.lowerings"} {
+		if err := faultpoint.Set(point, "delay=30ms"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	f := newFixture(t)
 
@@ -178,6 +194,9 @@ func TestLazyCandidatesConcurrentFirstUse(t *testing.T) {
 	}
 	if got := faultpoint.Count("serve.candidates"); got != 1 {
 		t.Fatalf("candidate set generated %d times under concurrent first use, want 1", got)
+	}
+	if got := faultpoint.Count("serve.lowerings"); got != 1 {
+		t.Fatalf("lowering table built %d times under concurrent first use, want 1", got)
 	}
 }
 

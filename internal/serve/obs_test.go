@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pinumdb/pinum/internal/advisor"
 	"github.com/pinumdb/pinum/internal/obs"
+	"github.com/pinumdb/pinum/internal/storage"
 )
 
 // scrape fetches /metrics and returns the exposition body.
@@ -118,10 +120,17 @@ func TestTraceOptIn(t *testing.T) {
 
 // TestAdvisorCountersOnMetrics pins the advisor work counters: after two
 // /recommend requests, each per-tenant series is the sum of the engine
-// blocks the responses reported.
+// blocks the responses reported; the fold-skip series, which the body
+// does not carry, is the sum an in-process advisor over the same caches
+// reports; and the lowering-table gauge shows the live set's table.
 func TestAdvisorCountersOnMetrics(t *testing.T) {
 	f := newFixture(t)
+	body := scrape(t, f.ts.URL)
+	if want := `pinum_advisor_lowering_bytes{tenant="default"} 0`; !strings.Contains(body, want+"\n") {
+		t.Errorf("/metrics before any /recommend missing %q", want)
+	}
 	var sum EngineStats
+	var foldSkips int64
 	for _, budget := range []float64{0.5, 2} {
 		var got RecommendResponse
 		f.post(t, "/recommend", RecommendRequest{BudgetGB: budget, MaxIndexes: 3}, &got)
@@ -131,12 +140,35 @@ func TestAdvisorCountersOnMetrics(t *testing.T) {
 		sum.CandidateEvals += got.Engine.CandidateEvals
 		sum.QueryEvals += got.Engine.QueryEvals
 		sum.QuerySkips += got.Engine.QuerySkips
+
+		set := f.srv.defaultTenant().current()
+		ad := advisor.New(f.star.Catalog, f.star.Stats, storage.BytesForGB(budget))
+		ad.MaxIndexes = 3
+		for i, q := range f.queries {
+			if err := ad.AddPrepared(q, f.analyses[i], set.caches[i], 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := ad.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		foldSkips += res.Engine.FoldSkips
 	}
-	body := scrape(t, f.ts.URL)
+	if foldSkips == 0 {
+		t.Fatal("vacuous: the in-process runs skipped no fold")
+	}
+	lowBytes := f.srv.defaultTenant().current().lowBytes.Load()
+	if lowBytes <= 0 {
+		t.Fatalf("live set reports a %d-byte lowering table after /recommend", lowBytes)
+	}
+	body = scrape(t, f.ts.URL)
 	for _, want := range []string{
 		fmt.Sprintf(`pinum_advisor_candidate_evals_total{tenant="default"} %d`, sum.CandidateEvals),
 		fmt.Sprintf(`pinum_advisor_query_evals_total{tenant="default"} %d`, sum.QueryEvals),
 		fmt.Sprintf(`pinum_advisor_query_skips_total{tenant="default"} %d`, sum.QuerySkips),
+		fmt.Sprintf(`pinum_advisor_fold_skips_total{tenant="default"} %d`, foldSkips),
+		fmt.Sprintf(`pinum_advisor_lowering_bytes{tenant="default"} %d`, lowBytes),
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("/metrics missing %q", want)

@@ -15,11 +15,13 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/pinumdb/pinum/internal/advisor"
 	"github.com/pinumdb/pinum/internal/catalog"
 	"github.com/pinumdb/pinum/internal/core"
+	"github.com/pinumdb/pinum/internal/costmatrix"
 	"github.com/pinumdb/pinum/internal/faultpoint"
 	"github.com/pinumdb/pinum/internal/inum"
 	"github.com/pinumdb/pinum/internal/optimizer"
@@ -66,11 +68,12 @@ const (
 // snapshotSet bundles everything a request reads into one immutable
 // world: the environment, the plan caches, the precomputed base costs,
 // the environment fingerprints, the what-if index interner, and — built
-// on first use — the advisor candidate set. Sets are shared through each
-// tenant's cur pointer and must only be handled by pointer (the embedded
-// mutex and once make go vet reject copies); after construction nothing
-// in a set changes except the interner behind its own mutex and the
-// candidate set behind its once, so the atomic pointer flip in
+// on first use — the advisor candidate set and its lowering table. Sets
+// are shared through each tenant's cur pointer and must only be handled
+// by pointer (the embedded mutex and onces make go vet reject copies);
+// after construction nothing in a set changes except the interner behind
+// its own mutex and the candidate set and lowering table behind their
+// onces, so the atomic pointer flip in
 // tenant.swap is the entire synchronization story of a reload — and of
 // an eviction, which stores nil and lets in-flight requests finish on the
 // set they hold.
@@ -89,6 +92,14 @@ type snapshotSet struct {
 	// answers /whatif never pays for it.
 	candOnce sync.Once
 	cands    candidateSet
+
+	// low prices every (candidate, query) leaf once for the set's
+	// lifetime (costmatrix.Lowerings), built by the first /recommend (see
+	// lowerings) and shared by every later one; lowBytes is its footprint
+	// for the tenant's gauge, 0 until built.
+	lowOnce  sync.Once
+	low      *costmatrix.Lowerings
+	lowBytes atomic.Int64
 
 	// fingerprint identifies the (catalog, statistics, cost-parameter)
 	// environment; tableFPs is its per-table refinement, used by the
@@ -185,6 +196,20 @@ func (set *snapshotSet) candidates() *candidateSet {
 		}
 	})
 	return &set.cands
+}
+
+// lowerings returns the set's candidate lowering table, building it on
+// the first call over the set's caches and candidates. Only /recommend
+// calls it, so /healthz and /statz, which read the candidate set, never
+// pay for the table. Concurrent first callers wait for the one build.
+func (set *snapshotSet) lowerings() *costmatrix.Lowerings {
+	set.lowOnce.Do(func() {
+		// No error to inject: the point counts builds.
+		_ = faultpoint.Hit("serve.lowerings")
+		set.low = costmatrix.BuildLowerings(set.caches, set.candidates().indexes)
+		set.lowBytes.Store(set.low.Bytes())
+	})
+	return set.low
 }
 
 func normalizeWeights(weights []float64, n int) []float64 {

@@ -862,6 +862,7 @@ func (s *Server) recommendOn(ctx context.Context, t *tenant, set *snapshotSet, r
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("request abandoned: %w", err)
 	}
+	low := set.lowerings()
 	ad := advisor.New(set.env.Catalog, set.env.Stats, storage.BytesForGB(req.BudgetGB))
 	ad.Parallelism = s.cfg.Workers
 	ad.MaxIndexes = req.MaxIndexes
@@ -873,15 +874,20 @@ func (s *Server) recommendOn(ctx context.Context, t *tenant, set *snapshotSet, r
 	for _, ix := range set.candidates().indexes {
 		ad.AddCandidate(ix)
 	}
+	ad.UseLowerings(low)
 	rt := time.Now()
-	res, err := ad.Run()
+	res, err := ad.RunContext(ctx)
 	obs.TraceFrom(ctx).Add("advisor", rt, time.Since(rt))
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("request abandoned: %w", err)
+		}
 		return nil, err
 	}
 	t.advisorCandidateEvals.Add(res.Engine.CandidateEvals)
 	t.advisorQueryEvals.Add(res.Engine.QueryEvals)
 	t.advisorQuerySkips.Add(res.Engine.QuerySkips)
+	t.advisorFoldSkips.Add(res.Engine.FoldSkips)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("request abandoned: %w", err)
 	}

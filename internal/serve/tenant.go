@@ -115,6 +115,7 @@ type tenant struct {
 	advisorCandidateEvals *obs.Counter
 	advisorQueryEvals     *obs.Counter
 	advisorQuerySkips     *obs.Counter
+	advisorFoldSkips      *obs.Counter
 	// loadDuration times every cold load and completed reload, keyed by
 	// the new set's source (disk-snapshot, incremental, rebuilt).
 	loadDuration  map[string]*obs.Histogram
@@ -153,6 +154,16 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 		"Per-query delta evaluations the tenant's /recommend searches performed.", tl)
 	t.advisorQuerySkips = s.reg.Counter("pinum_advisor_query_skips_total",
 		"Per-query evaluations the tenant's /recommend searches skipped (candidate table not referenced).", tl)
+	t.advisorFoldSkips = s.reg.Counter("pinum_advisor_fold_skips_total",
+		"Per-query evaluations the tenant's /recommend searches answered without a fold (the candidate lowered no leaf cost).", tl)
+	s.reg.GaugeFunc("pinum_advisor_lowering_bytes",
+		"Bytes held by the live set's candidate lowering table (0 until its first /recommend).",
+		func() float64 {
+			if set := t.current(); set != nil {
+				return float64(set.lowBytes.Load())
+			}
+			return 0
+		}, tl)
 	const reloadHelp = "Reload outcomes, by result (completed, skipped, failed)."
 	t.reloadsOK = s.reg.Counter("pinum_tenant_reloads_total", reloadHelp, tl, obs.L("result", "completed"))
 	t.reloadsSkipped = s.reg.Counter("pinum_tenant_reloads_total", reloadHelp, tl, obs.L("result", "skipped"))

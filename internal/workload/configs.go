@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"sort"
 	"strings"
 
 	"github.com/pinumdb/pinum/internal/optimizer"
@@ -47,12 +46,7 @@ func RandomAtomicConfig(rng *rand.Rand, a *optimizer.Analysis, ws *whatif.Sessio
 // referencedColumns lists the query-referenced columns of a relation in
 // deterministic order.
 func referencedColumns(ri *optimizer.RelInfo) []string {
-	out := make([]string, 0, len(ri.Needed))
-	for c := range ri.Needed {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), ri.NeededCols...)
 }
 
 // CandidateIndexes produces the advisor's syntactic candidate set for a
